@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race verify fmt-check bench bench-smoke bench-json chaos-smoke gateway-smoke multigroup-smoke trust-smoke fuzz-smoke linkcheck clean
+.PHONY: build vet test race verify fmt-check bench bench-smoke perfbench-smoke chaos-smoke gateway-smoke multigroup-smoke trust-smoke fuzz-smoke linkcheck clean
 
 build:
 	$(GO) build ./...
@@ -35,10 +35,13 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
-# bench-json regenerates BENCH_core.json, the machine-readable core
-# reconciliation perf baseline future PRs compare against.
-bench-json:
-	$(GO) run ./cmd/orchestra-bench -json BENCH_core.json
+# perfbench-smoke vets the repository benchmark and runs its smoke-size
+# pass of every workload and check (see docs/BENCHMARKING.md). perfbench is
+# its own module, built against this one through a replace directive, so
+# build, vet and test above never compile it; without this target an API
+# change could break the benchmark unnoticed.
+perfbench-smoke:
+	cd perfbench && $(GO) vet ./... && $(GO) test -count=1 ./...
 
 # chaos-smoke runs both fault-injection convergence matrices — the 4-peer
 # cells (loss, dup, jitter, partition, store crash + snapshot rebuild, and

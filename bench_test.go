@@ -180,7 +180,7 @@ func BenchmarkAblationFlatten(b *testing.B) {
 }
 
 // contendedCandidates wraps workload.ContendedCandidates — the shared
-// contended reconciliation workload also measured by orchestra-bench -json.
+// contended reconciliation workload of the engine benchmarks.
 func contendedCandidates(b *testing.B, schema *core.Schema, n int) []*core.Candidate {
 	b.Helper()
 	cands, err := workload.ContendedCandidates(schema, "F", n)
@@ -392,10 +392,9 @@ func BenchmarkStateRatio(b *testing.B) {
 
 // BenchmarkStreamLatency drives a sustained conflict-free publish load
 // through the streaming reconcile loop and measures time until every peer's
-// frontier covers the last publish. cmd/orchestra-bench -json runs the full
-// streaming-vs-round-based latency comparison (the stream_latency section of
-// BENCH_core.json); this entry point keeps the streaming path itself under
-// make bench-smoke.
+// frontier covers the last publish. It keeps the streaming path under make
+// bench-smoke; the perfbench ingest and trust_churn workloads measure
+// publish-to-decision latency end to end.
 func BenchmarkStreamLatency(b *testing.B) {
 	schema := MustSchema(NewRelation("F", 2, "organism", "protein", "function"))
 	const peers = 4

@@ -36,9 +36,8 @@ type GroupPeer struct {
 
 // GroupSpec declares one group: the unit of placement. A group is a full
 // confederation — schema, peers, trust — whose store traffic the fleet
-// routes to the node that currently owns it. SystemOptions extend the
-// fleet-wide WithGroupSystemOptions for this group only (e.g. a per-group
-// stream observer).
+// routes to the node that currently owns it. SystemOptions apply to this
+// group's System (e.g. a per-group stream observer).
 type GroupSpec struct {
 	ID            string
 	Schema        *Schema
@@ -77,10 +76,7 @@ type MigrationEvent struct {
 type FleetOption func(*fleetConfig)
 
 type fleetConfig struct {
-	dirFor    func(storeName string) string
-	vnodes    int
-	sysOpts   []SystemOption
-	storeOpts []central.Option
+	dirFor func(storeName string) string
 }
 
 // WithStoreDirs makes each node durable: dirFor maps a store name to its
@@ -89,26 +85,6 @@ type fleetConfig struct {
 // ones.
 func WithStoreDirs(dirFor func(storeName string) string) FleetOption {
 	return func(c *fleetConfig) { c.dirFor = dirFor }
-}
-
-// WithVirtualNodes sets the placement ring's virtual-node count per store
-// (default dht.DefaultVirtualNodes).
-func WithVirtualNodes(n int) FleetOption {
-	return func(c *fleetConfig) { c.vnodes = n }
-}
-
-// WithGroupSystemOptions appends System options to every group's
-// confederation (e.g. WithReconcileFanOut, WithStreamPoll). Store-owning
-// options are meaningless here — a group's peers always talk to the
-// fleet-routed store.
-func WithGroupSystemOptions(opts ...SystemOption) FleetOption {
-	return func(c *fleetConfig) { c.sysOpts = append(c.sysOpts, opts...) }
-}
-
-// WithGroupStoreOptions appends central store options applied to every
-// node and tenant (e.g. central.WithSerialCommit, central.WithTableShards).
-func WithGroupStoreOptions(opts ...central.Option) FleetOption {
-	return func(c *fleetConfig) { c.storeOpts = append(c.storeOpts, opts...) }
 }
 
 // Fleet routes groups across central store nodes with consistent hashing.
@@ -135,7 +111,7 @@ func NewFleet(opts ...FleetOption) *Fleet {
 	return &Fleet{
 		cfg:       cfg,
 		nodes:     make(map[string]*central.Node),
-		placement: dht.NewPlacement(cfg.vnodes),
+		placement: dht.NewPlacement(dht.DefaultVirtualNodes),
 		groups:    make(map[string]*Group),
 		owner:     make(map[string]string),
 	}
@@ -154,7 +130,7 @@ func (f *Fleet) AddStore(name string) error {
 	if f.cfg.dirFor != nil {
 		dir = f.cfg.dirFor(name)
 	}
-	node, err := central.OpenNode(dir, f.cfg.storeOpts...)
+	node, err := central.OpenNode(dir)
 	if err != nil {
 		return err
 	}
@@ -238,8 +214,7 @@ func (f *Fleet) AddGroup(spec GroupSpec) (*Group, error) {
 	routed := &routedStore{st: st}
 	sysOpts := append([]SystemOption{
 		WithPeerStores(func(core.PeerID) (store.Store, error) { return routed, nil }),
-	}, f.cfg.sysOpts...)
-	sysOpts = append(sysOpts, spec.SystemOptions...)
+	}, spec.SystemOptions...)
 	sys, err := NewSystem(spec.Schema, sysOpts...)
 	if err != nil {
 		f.nodes[owner].CloseGroup(spec.ID)
@@ -609,6 +584,16 @@ func (rs *routedStore) ReplayFor(ctx context.Context, peer core.PeerID) ([]store
 	return rp.ReplayFor(ctx, peer)
 }
 
+func (rs *routedStore) EffectiveTrust(ctx context.Context, peer core.PeerID) (core.Trust, error) {
+	st := rs.enter()
+	defer rs.exit()
+	r, ok := st.(store.TrustResolver)
+	if !ok {
+		return nil, fmt.Errorf("orchestra: routed store target %T cannot resolve trust", st)
+	}
+	return r.EffectiveTrust(ctx, peer)
+}
+
 func (rs *routedStore) CanWatch(ctx context.Context) bool {
 	st := rs.enter()
 	defer rs.exit()
@@ -647,4 +632,5 @@ var (
 	_ store.Snapshotter      = (*routedStore)(nil)
 	_ store.SnapshotReplayer = (*routedStore)(nil)
 	_ store.Replayer         = (*routedStore)(nil)
+	_ store.TrustResolver    = (*routedStore)(nil)
 )

@@ -75,6 +75,78 @@ func TestFleetBasic(t *testing.T) {
 	}
 }
 
+// TestFleetPeerTrustResolvesDelegation: a fleet-hosted peer's engine
+// prices candidates with the store's effective policy — delegation
+// closure included — exactly as its standalone twin's does, at
+// registration and after SetTrust.
+func TestFleetPeerTrustResolvesDelegation(t *testing.T) {
+	ctx := context.Background()
+	schema := MustSchema(NewRelation("F", 1, "k", "v"))
+	pol := func(src string) *TrustPolicy {
+		p, err := ParseTrustPolicy(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	const (
+		lead     = "priority 4 when origin = 'x'"
+		follower = "priority 1 when origin = 'y'\ndelegate 'lead' priority 3"
+		revised  = "priority 2 when origin = 'y'\ndelegate 'lead' priority 2"
+	)
+
+	fleet := NewFleet()
+	defer fleet.Close()
+	if err := fleet.AddStore("s0"); err != nil {
+		t.Fatal(err)
+	}
+	g, err := fleet.AddGroup(GroupSpec{ID: "g", Schema: schema, Peers: []GroupPeer{
+		{ID: "lead", Trust: pol(lead)},
+		{ID: "follower", Trust: pol(follower)},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := NewSystem(schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	if _, err := sys.AddPeer("lead", pol(lead)); err != nil {
+		t.Fatal(err)
+	}
+	twin, err := sys.AddPeer("follower", pol(follower))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hosted, _ := g.System().Peer("follower")
+
+	probes := []Update{
+		Insert("F", Strs("k", "v"), "x"), // priced only through the delegation
+		Insert("F", Strs("k", "v"), "y"),
+		Insert("F", Strs("k", "v"), "z"),
+	}
+	if twin.Engine().Trust().Priority(probes[0]) == 0 {
+		t.Fatal("standalone twin does not price the delegated origin; the test proves nothing")
+	}
+	same := func(stage string) {
+		t.Helper()
+		for _, u := range probes {
+			if got, want := hosted.Engine().Trust().Priority(u), twin.Engine().Trust().Priority(u); got != want {
+				t.Errorf("%s: fleet-hosted peer prices origin %s at %d, standalone twin at %d", stage, u.Origin, got, want)
+			}
+		}
+	}
+	same("registration")
+	if _, err := hosted.SetTrust(ctx, pol(revised)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := twin.SetTrust(ctx, pol(revised)); err != nil {
+		t.Fatal(err)
+	}
+	same("SetTrust")
+}
+
 // Scheduler rounds over more groups than the concurrency bound: all
 // groups converge.
 // TestFleetCopyGroupSiblingPrefix: the migration copy must select exactly

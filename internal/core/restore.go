@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -60,6 +61,7 @@ func (e *Engine) restoreLog(log []LoggedTxn, decisions map[TxnID]RestoredDecisio
 	sort.Slice(ordered, func(i, j int) bool { return ordered[i].Txn.Order < ordered[j].Txn.Order })
 
 	var accepted []*Transaction
+	antecedents := make(map[TxnID][]TxnID)
 	var maxOwnSeq uint64
 	haveOwn := false
 	for _, lt := range ordered {
@@ -76,6 +78,7 @@ func (e *Engine) restoreLog(log []LoggedTxn, decisions map[TxnID]RestoredDecisio
 		switch decisions[id].Decision {
 		case DecisionAccept:
 			accepted = append(accepted, lt.Txn)
+			antecedents[id] = lt.Antecedents
 			e.applied.Add(id)
 		case DecisionReject:
 			e.rejected.Add(id)
@@ -91,19 +94,47 @@ func (e *Engine) restoreLog(log []LoggedTxn, decisions map[TxnID]RestoredDecisio
 		return accepted[i].Order < accepted[j].Order
 	})
 
-	flat, err := Flatten(e.schema, UpdateFootprint(accepted))
+	// Replay in the units the engine applied. A reconciliation flattens,
+	// checks and applies each accepted extension on its own, and records
+	// its members under consecutive decision seqs, each naming an earlier
+	// member as an antecedent. One flatten over the whole history is not
+	// equivalent: an extension that revises a value and reverts it had no
+	// net effect live, but in one sequence its first step collides with
+	// whatever value an earlier acceptance left in place.
+	for start := 0; start < len(accepted); {
+		run := TxnSet{accepted[start].ID: {}}
+		end := start + 1
+		for ; end < len(accepted); end++ {
+			x := accepted[end]
+			if decisions[x.ID].Seq != decisions[accepted[end-1].ID].Seq+1 || !slices.ContainsFunc(antecedents[x.ID], run.Has) {
+				break
+			}
+			run.Add(x.ID)
+		}
+		if err := e.applyRestored(accepted[start:end]); err != nil {
+			return fmt.Errorf("core: restore: %w", err)
+		}
+		start = end
+	}
+	if haveOwn && maxOwnSeq+1 > e.nextSeq {
+		e.nextSeq = maxOwnSeq + 1
+	}
+	return nil
+}
+
+// applyRestored flattens one replay unit, checks it against the instance
+// and applies it.
+func (e *Engine) applyRestored(unit []*Transaction) error {
+	flat, err := Flatten(e.schema, UpdateFootprint(unit))
 	if err != nil {
-		return fmt.Errorf("core: restore: %w", err)
+		return err
 	}
 	if err := e.inst.CompatibleAll(flat); err != nil {
-		return fmt.Errorf("core: restore: %w", err)
+		return err
 	}
 	for _, u := range flat {
 		e.inst.applyUnchecked(u)
 	}
-	e.noteProducers(accepted)
-	if haveOwn && maxOwnSeq+1 > e.nextSeq {
-		e.nextSeq = maxOwnSeq + 1
-	}
+	e.noteProducers(unit)
 	return nil
 }

@@ -136,6 +136,49 @@ func TestRestoreAcceptanceOrderBeatsGlobalOrder(t *testing.T) {
 	wantTuples(t, e.Instance(), "F", Strs("rat", "p1", "f1"))
 }
 
+func TestRestoreRevertingExtensionAfterEarlierRevision(t *testing.T) {
+	// The peer accepted c0:16 (atp→rna) on its own, and much later c5's
+	// revise-and-revert pair as one extension. Live, that extension
+	// flattened to no net effect on top of c0's rna; replay must apply it
+	// as the same unit, not flatten it into one sequence with c0:16 (c5:18
+	// would collide with the live rna) nor apply c5:18 alone (its source,
+	// atp, is gone by then).
+	s := proteinSchema(t)
+	atp := Strs("candida", "P00025", "atp")
+	rna := Strs("candida", "P00025", "rna")
+	base := NewTransaction(xid("c1", 0), Insert("F", atp, "c1"))
+	base.Order = 1
+	c0 := NewTransaction(xid("c0", 16), Modify("F", atp, rna, "c0"))
+	c0.Order = 2
+	c5a := NewTransaction(xid("c5", 18), Modify("F", atp, rna, "c5"))
+	c5a.Order = 3
+	c5b := NewTransaction(xid("c5", 19), Modify("F", rna, atp, "c5"))
+	c5b.Order = 4
+
+	log := []LoggedTxn{
+		{Txn: base},
+		{Txn: c0, Antecedents: []TxnID{base.ID}},
+		{Txn: c5a, Antecedents: []TxnID{base.ID}},
+		{Txn: c5b, Antecedents: []TxnID{c5a.ID}},
+	}
+	decisions := map[TxnID]RestoredDecision{
+		base.ID: {Decision: DecisionAccept, Seq: 1},
+		c0.ID:   {Decision: DecisionAccept, Seq: 127},
+		c5a.ID:  {Decision: DecisionAccept, Seq: 142},
+		c5b.ID:  {Decision: DecisionAccept, Seq: 143},
+	}
+	e := NewEngine("me", s, TrustAll(1))
+	if err := e.Restore(log, decisions); err != nil {
+		t.Fatal(err)
+	}
+	wantTuples(t, e.Instance(), "F", rna)
+	for _, x := range []*Transaction{base, c0, c5a, c5b} {
+		if !e.Applied(x.ID) {
+			t.Errorf("%s not applied", x.ID)
+		}
+	}
+}
+
 func TestConflictGroupString(t *testing.T) {
 	g := &ConflictGroup{
 		Conflict: Conflict{Type: ConflictKeyValue, Rel: "F", Value: Strs("rat", "p1").Encode()},

@@ -12,9 +12,9 @@ import (
 	"time"
 )
 
-func openGC(t *testing.T, dir string, group bool, window time.Duration) *DB {
+func openGC(t *testing.T, dir string, group bool) *DB {
 	t.Helper()
-	db, err := Open(Options{Dir: dir, GroupCommit: group, GroupCommitWindow: window})
+	db, err := Open(Options{Dir: dir, GroupCommit: group})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestGroupCommitDurability(t *testing.T) {
 		perWorker = 40
 	)
 	dir := t.TempDir()
-	db := openGC(t, dir, true, 0)
+	db := openGC(t, dir, true)
 	createN(t, db, tables)
 
 	var wg sync.WaitGroup
@@ -93,7 +93,7 @@ func TestGroupCommitDurability(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	db2 := openGC(t, dir, true, 0)
+	db2 := openGC(t, dir, true)
 	defer db2.Close()
 	db2.View(func(tx *Tx) error {
 		total := 0
@@ -174,7 +174,7 @@ func TestGroupCommitCrashMidFlush(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			const committed = 5
 			dir := t.TempDir()
-			db := openGC(t, dir, true, 0)
+			db := openGC(t, dir, true)
 			createN(t, db, 1)
 			for i := 0; i < committed; i++ {
 				if err := db.Update(func(tx *Tx) error {
@@ -188,7 +188,7 @@ func TestGroupCommitCrashMidFlush(t *testing.T) {
 			}
 			damage(t, lastSegment(t, dir))
 
-			db2 := openGC(t, dir, true, 0)
+			db2 := openGC(t, dir, true)
 			db2.View(func(tx *Tx) error {
 				n, err := tx.Count("t0")
 				if err != nil {
@@ -208,7 +208,7 @@ func TestGroupCommitCrashMidFlush(t *testing.T) {
 			if err := db2.Close(); err != nil {
 				t.Fatal(err)
 			}
-			db3 := openGC(t, dir, true, 0)
+			db3 := openGC(t, dir, true)
 			defer db3.Close()
 			db3.View(func(tx *Tx) error {
 				n, _ := tx.Count("t0")
@@ -233,13 +233,11 @@ func TestConcurrentCommittersAcrossTables(t *testing.T) {
 		name    string
 		durable bool
 		group   bool
-		window  time.Duration
 	}
 	cells := []cell{
-		{"memory", false, false, 0},
-		{"durable-serial", true, false, 0},
-		{"durable-group", true, true, 0},
-		{"durable-group-window", true, true, 200 * time.Microsecond},
+		{"memory", false, false},
+		{"durable-serial", true, false},
+		{"durable-group", true, true},
 	}
 	for _, c := range cells {
 		t.Run(c.name, func(t *testing.T) {
@@ -253,7 +251,7 @@ func TestConcurrentCommittersAcrossTables(t *testing.T) {
 			if c.durable {
 				dir = t.TempDir()
 			}
-			db, err := Open(Options{Dir: dir, GroupCommit: c.group, GroupCommitWindow: c.window})
+			db, err := Open(Options{Dir: dir, GroupCommit: c.group})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -86,7 +86,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"orchestra/internal/core"
 	"orchestra/internal/metrics"
@@ -125,10 +124,6 @@ type Option func(*config)
 type config struct {
 	epochBlock     int64
 	groupCommit    bool
-	groupWindow    time.Duration
-	adaptiveCommit bool
-	adaptiveMin    time.Duration
-	adaptiveMax    time.Duration
 	tableShards    int
 	shardsExplicit bool
 	snapEvery      int64
@@ -161,45 +156,18 @@ func WithEpochBlock(n int) Option {
 	}
 }
 
-// WithGroupCommit enables the backing database's WAL group-commit path
-// (the default) with the given gathering window; zero flushes whatever has
-// queued with no added latency. See reldb.Options.GroupCommitWindow.
-//
-// Flush groups form across commits on disjoint tables: with the
-// epoch-sharded layout (WithTableShards) concurrent publishes to epochs in
-// different shards touch disjoint tables, so their commits share flushes
-// instead of serializing — same-shard publishes still queue on the shard's
-// table locks and flush alone. Keep the window at zero unless fsync
-// (SyncOnCommit) dominates commit cost: a flush leader sleeps the window
-// while holding its table locks, so a nonzero window adds that much
-// latency to every conflicting commit.
-func WithGroupCommit(window time.Duration) Option {
-	return func(c *config) {
-		c.groupCommit = true
-		c.groupWindow = window
-	}
-}
-
 // WithSerialCommit disables group commit: every database commit appends
 // its own WAL record — the serial escape hatch the differential tests pin
 // group commit against.
+//
+// By default the backing database batches concurrent commits through its
+// WAL group-commit path with no gathering window: a flush carries whatever
+// has queued by the time its leader runs, so an idle store pays no added
+// latency. Flush groups form across commits on disjoint tables: with the
+// epoch-sharded layout (WithTableShards), concurrent publishes to epochs in
+// different shards share flushes instead of serializing.
 func WithSerialCommit() Option {
 	return func(c *config) { c.groupCommit = false }
-}
-
-// WithAdaptiveGroupCommit enables group commit with a gathering window
-// sized from observed flush queue depth instead of a fixed setting: deep
-// flushes grow the window toward max (amortizing the fsync across more
-// commits), solo flushes shrink it toward min (an idle store pays no
-// gathering latency). See reldb.Options.AdaptiveGroupCommit. Window
-// adaptation changes flush timing only, never durability or replay order.
-func WithAdaptiveGroupCommit(min, max time.Duration) Option {
-	return func(c *config) {
-		c.groupCommit = true
-		c.adaptiveCommit = true
-		c.adaptiveMin = min
-		c.adaptiveMax = max
-	}
 }
 
 // WithTableShards sets how many epoch-shards the epochs/txns/decisions
@@ -414,21 +382,14 @@ func (pm *peerMeta) recordDecisionLocked(id core.TxnID, d core.Decision) int64 {
 // Open creates (or recovers) a store. dir == "" keeps everything in
 // memory. By default the backing database batches concurrent commits
 // through the WAL group-commit path and the epoch allocator claims
-// DefaultEpochBlock epochs per durable sequence commit; see WithEpochBlock,
-// WithGroupCommit, WithSerialCommit.
+// DefaultEpochBlock epochs per durable sequence commit; see WithEpochBlock
+// and WithSerialCommit.
 func Open(schema *core.Schema, dir string, opts ...Option) (*Store, error) {
 	cfg := defaultConfig()
 	for _, o := range opts {
 		o(&cfg)
 	}
-	db, err := reldb.Open(reldb.Options{
-		Dir:                  dir,
-		GroupCommit:          cfg.groupCommit,
-		GroupCommitWindow:    cfg.groupWindow,
-		AdaptiveGroupCommit:  cfg.adaptiveCommit,
-		GroupCommitMinWindow: cfg.adaptiveMin,
-		GroupCommitMaxWindow: cfg.adaptiveMax,
-	})
+	db, err := reldb.Open(reldb.Options{Dir: dir, GroupCommit: cfg.groupCommit})
 	if err != nil {
 		return nil, err
 	}

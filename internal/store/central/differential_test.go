@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"time"
 
 	"orchestra/internal/core"
 	"orchestra/internal/store"
@@ -237,15 +236,6 @@ func TestDifferentialMatrix(t *testing.T) {
 	if baselineCompact == baseline {
 		t.Fatalf("compacting run left the storage transcript untouched:\n%s", baselineCompact)
 	}
-	// The adaptive window moves flush timing around at runtime; the
-	// transcript must not care.
-	t.Run("adaptive-group-commit", func(t *testing.T) {
-		got := differentialWorkload(t, false, WithTableShards(8), WithEpochBlock(8),
-			WithAdaptiveGroupCommit(0, time.Millisecond))
-		if got != baseline {
-			t.Errorf("transcript diverged under the adaptive window:\n--- got ---\n%s\n--- want ---\n%s", got, baseline)
-		}
-	})
 	for _, shards := range []int{1, 4, 8} {
 		for _, group := range []bool{false, true} {
 			for _, block := range []int{1, 8} {
@@ -253,9 +243,7 @@ func TestDifferentialMatrix(t *testing.T) {
 					name := fmt.Sprintf("shards=%d/group=%v/block=%d/compact=%v", shards, group, block, compact)
 					t.Run(name, func(t *testing.T) {
 						opts := []Option{WithTableShards(shards), WithEpochBlock(block)}
-						if group {
-							opts = append(opts, WithGroupCommit(0))
-						} else {
+						if !group {
 							opts = append(opts, WithSerialCommit())
 						}
 						want := baseline

@@ -43,21 +43,14 @@ type Node struct {
 // everything in memory (which also disables the WAL, and with it the
 // shared group-commit economy — benchmarks measuring commits per flush
 // need a disk-backed node). Options apply to every group the node opens;
-// database-level options (WithGroupCommit, WithSerialCommit) bind here, at
-// database open.
+// the database-level option (WithSerialCommit) binds here, at database
+// open.
 func OpenNode(dir string, opts ...Option) (*Node, error) {
 	cfg := defaultConfig()
 	for _, o := range opts {
 		o(&cfg)
 	}
-	db, err := reldb.Open(reldb.Options{
-		Dir:                  dir,
-		GroupCommit:          cfg.groupCommit,
-		GroupCommitWindow:    cfg.groupWindow,
-		AdaptiveGroupCommit:  cfg.adaptiveCommit,
-		GroupCommitMinWindow: cfg.adaptiveMin,
-		GroupCommitMaxWindow: cfg.adaptiveMax,
-	})
+	db, err := reldb.Open(reldb.Options{Dir: dir, GroupCommit: cfg.groupCommit})
 	if err != nil {
 		return nil, err
 	}

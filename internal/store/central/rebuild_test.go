@@ -4,78 +4,158 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"orchestra/internal/core"
 	"orchestra/internal/store"
 	"orchestra/internal/store/storetest"
+	"orchestra/internal/trust"
+	"orchestra/internal/workload"
 )
 
-// TestRebuildPeerReconstructsState: after a randomized multi-peer run, a
-// peer reconstructed from the store's log via RebuildPeer has exactly the
-// same instance and decision sets as the original — §5.2's soft-state
+// TestRebuildPeerReconstructsState: after a multi-peer run, a peer
+// reconstructed from the store's log — by full replay, and by snapshot
+// plus tail where the store took a snapshot — has exactly the same
+// instance and decision sets as the original: §5.2's soft-state
 // guarantee.
 func TestRebuildPeerReconstructsState(t *testing.T) {
-	schema := storetest.Schema(t)
 	ctx := context.Background()
-	for seed := int64(1); seed <= 6; seed++ {
+	t.Run("random", func(t *testing.T) {
+		schema := storetest.Schema(t)
+		for seed := int64(1); seed <= 6; seed++ {
+			s := MustOpenMemory(schema)
+			const n = 4
+			peers := make([]*store.Peer, n)
+			for i := range peers {
+				var err error
+				peers[i], err = store.NewPeer(ctx, core.PeerID(fmt.Sprintf("p%d", i)), schema, core.TrustAll(1), s)
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			r := rand.New(rand.NewSource(seed))
+			orgs := []string{"rat", "mouse"}
+			for round := 0; round < 6; round++ {
+				for _, p := range peers {
+					org := orgs[r.Intn(2)]
+					prot := fmt.Sprintf("prot%d", r.Intn(5))
+					fn := fmt.Sprintf("f%d", r.Intn(3))
+					key := core.Strs(org, prot)
+					if cur, ok := p.Instance().Lookup("F", key); ok {
+						if cur[2].Str() != fn {
+							p.Edit(core.Modify("F", cur, core.Strs(org, prot, fn), p.ID()))
+						}
+					} else {
+						p.Edit(core.Insert("F", core.Strs(org, prot, fn), p.ID()))
+					}
+					if _, err := p.PublishAndReconcile(ctx); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			checkRebuilds(t, s, schema, peers, func(int) core.Trust { return core.TrustAll(1) })
+			s.Close()
+		}
+	})
+	// The §6 curation shape: the paper's generator, several txns per peer
+	// per round and tied priorities, so peers accept revise-and-revert
+	// extensions on top of earlier revisions of the same value. The store
+	// snapshots mid-run and the rebuilds replay the tail after it.
+	t.Run("curation", func(t *testing.T) {
+		schema := workload.Schema()
+		const (
+			n            = 8
+			txnsPerRound = 4
+			rounds       = 20
+			tail         = 2
+		)
 		s := MustOpenMemory(schema)
-		const n = 4
+		defer s.Close()
+		policies := make([]core.Trust, n)
 		peers := make([]*store.Peer, n)
+		gens := make([]*workload.Generator, n)
 		for i := range peers {
+			rng := rand.New(rand.NewSource(int64(i)))
+			var b strings.Builder
+			for j := 0; j < n; j++ {
+				if j != i {
+					fmt.Fprintf(&b, "priority %d when origin = 'c%d'\n", 1+rng.Intn(3), j)
+				}
+			}
+			policies[i] = trust.MustParse(b.String())
 			var err error
-			peers[i], err = store.NewPeer(ctx, core.PeerID(fmt.Sprintf("p%d", i)), schema, core.TrustAll(1), s)
+			peers[i], err = store.NewPeer(ctx, core.PeerID(fmt.Sprintf("c%d", i)), schema, policies[i], s)
 			if err != nil {
 				t.Fatal(err)
 			}
+			gens[i] = workload.New(workload.Config{Seed: int64(i), TxnSize: 2, KeySpace: 400})
 		}
-		r := rand.New(rand.NewSource(seed))
-		orgs := []string{"rat", "mouse"}
-		for round := 0; round < 6; round++ {
-			for _, p := range peers {
-				org := orgs[r.Intn(2)]
-				prot := fmt.Sprintf("prot%d", r.Intn(5))
-				fn := fmt.Sprintf("f%d", r.Intn(3))
-				key := core.Strs(org, prot)
-				if cur, ok := p.Instance().Lookup("F", key); ok {
-					if cur[2].Str() != fn {
-						p.Edit(core.Modify("F", cur, core.Strs(org, prot, fn), p.ID()))
+		round := func() {
+			for i, p := range peers {
+				for k := 0; k < txnsPerRound; k++ {
+					if ups := gens[i].NextUpdates(p.Instance(), p.ID()); len(ups) > 0 {
+						if _, err := p.Edit(ups...); err != nil {
+							t.Fatal(err)
+						}
 					}
-				} else {
-					p.Edit(core.Insert("F", core.Strs(org, prot, fn), p.ID()))
 				}
-				if _, err := p.PublishAndReconcile(ctx); err != nil {
+				if _, err := p.Publish(ctx); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, p := range peers {
+				if _, err := p.Reconcile(ctx); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
+		for r := 0; r < rounds; r++ {
+			round()
+		}
+		if _, err := s.Snapshot(ctx); err != nil {
+			t.Fatalf("snapshot: %v", err)
+		}
+		for r := 0; r < tail; r++ {
+			round()
+		}
+		checkRebuilds(t, s, schema, peers, func(i int) core.Trust { return policies[i] })
+	})
+}
 
-		for _, orig := range peers {
-			rebuilt, err := store.RebuildPeer(ctx, orig.ID(), schema, core.TrustAll(1), s)
-			if err != nil {
-				t.Fatalf("seed %d: rebuild %s: %v", seed, orig.ID(), err)
-			}
-			if !rebuilt.Instance().Equal(orig.Instance()) {
-				t.Fatalf("seed %d: %s rebuilt instance diverges:\norig:    %v\nrebuilt: %v",
-					seed, orig.ID(), orig.Instance().Tuples("F"), rebuilt.Instance().Tuples("F"))
-			}
-			// Decision sets match for every published transaction.
-			log, decisions, err := s.ReplayFor(ctx, orig.ID())
-			if err != nil {
-				t.Fatal(err)
+// checkRebuilds rebuilds every peer by full replay and by RebuildPeer
+// (snapshot plus tail when the store holds a snapshot) and requires both to
+// match the live peer's instance and decision sets.
+func checkRebuilds(t *testing.T, s *Store, schema *core.Schema, peers []*store.Peer, trustFor func(int) core.Trust) {
+	t.Helper()
+	ctx := context.Background()
+	log, _, err := s.ReplayFor(ctx, peers[0].ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, orig := range peers {
+		full, err := store.FullReplayRebuild(ctx, orig.ID(), schema, trustFor(i), s)
+		if err != nil {
+			t.Fatalf("full replay of %s: %v", orig.ID(), err)
+		}
+		rebuilt, err := store.RebuildPeer(ctx, orig.ID(), schema, trustFor(i), s)
+		if err != nil {
+			t.Fatalf("rebuild %s: %v", orig.ID(), err)
+		}
+		for name, p := range map[string]*store.Peer{"full replay": full, "rebuild": rebuilt} {
+			if !p.Instance().Equal(orig.Instance()) {
+				t.Fatalf("%s of %s diverges from the live instance", name, orig.ID())
 			}
 			for _, pt := range log {
 				id := pt.Txn.ID
-				if orig.Engine().Applied(id) != rebuilt.Engine().Applied(id) {
-					t.Fatalf("seed %d: %s applied(%s) diverges", seed, orig.ID(), id)
+				if orig.Engine().Applied(id) != p.Engine().Applied(id) {
+					t.Fatalf("%s of %s: applied(%s) diverges", name, orig.ID(), id)
 				}
-				if orig.Engine().Rejected(id) != rebuilt.Engine().Rejected(id) {
-					t.Fatalf("seed %d: %s rejected(%s) diverges", seed, orig.ID(), id)
+				if orig.Engine().Rejected(id) != p.Engine().Rejected(id) {
+					t.Fatalf("%s of %s: rejected(%s) diverges", name, orig.ID(), id)
 				}
-				_ = decisions
 			}
 		}
-		s.Close()
 	}
 }
 

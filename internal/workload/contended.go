@@ -9,10 +9,9 @@ import (
 // ContendedCandidates builds the standard core-reconciliation benchmark
 // batch: n single-insert transactions from n distinct peers where every two
 // transactions share a key, so half the batch mutually conflicts. It is the
-// single source of truth for the workload measured by both
-// BenchmarkEngineReconcile / BenchmarkAblationParallelism and the
-// BENCH_core.json suite of cmd/orchestra-bench, keeping their numbers
-// comparable across PRs. The schema must contain the relation named by rel
+// single source of truth for the workload measured by
+// BenchmarkEngineReconcile and BenchmarkAblationParallelism, keeping their
+// numbers comparable. The schema must contain the relation named by rel
 // with at least three string attributes and a two-attribute key (e.g.
 // F(organism, protein, function)).
 func ContendedCandidates(schema *core.Schema, rel string, n int) ([]*core.Candidate, error) {

@@ -19,7 +19,6 @@ import (
 type Scheduler struct {
 	groups []*Group
 	limit  int
-	slice  time.Duration
 
 	mu   sync.Mutex
 	next int // rotating fairness offset
@@ -38,19 +37,11 @@ func WithGroupLimit(n int) SchedulerOption {
 	}
 }
 
-// WithStreamSlice sets how long each group streams per turn when the
-// group count exceeds the limit and streaming must time-multiplex
-// (default 50ms). Shorter slices rotate attention faster at the cost of
-// more subscription churn; slicing never loses work — a group's
-// reconciliation cursor is durable in its store, so the next turn resumes
-// exactly where the last stopped.
-func WithStreamSlice(d time.Duration) SchedulerOption {
-	return func(s *Scheduler) {
-		if d > 0 {
-			s.slice = d
-		}
-	}
-}
+// streamSlice is how long each group streams per turn when the group
+// count exceeds the limit and streaming must time-multiplex. Slicing never
+// loses work: a group's reconciliation cursor is durable in its store, so
+// the next turn resumes exactly where the last stopped.
+const streamSlice = 50 * time.Millisecond
 
 // NewScheduler builds a scheduler over the given groups (usually
 // fleet.Groups()).
@@ -58,7 +49,6 @@ func NewScheduler(groups []*Group, opts ...SchedulerOption) *Scheduler {
 	s := &Scheduler{
 		groups: append([]*Group(nil), groups...),
 		limit:  runtime.GOMAXPROCS(0),
-		slice:  50 * time.Millisecond,
 	}
 	for _, o := range opts {
 		o(s)
@@ -139,7 +129,7 @@ func (s *Scheduler) RunRounds(ctx context.Context, n int) error {
 // ends. With Limit ≥ group count, all groups stream continuously. With
 // more groups than the bound, Limit workers time-multiplex: each worker
 // repeatedly takes the next group in rotation and streams it for one
-// slice (WithStreamSlice). Slicing preserves correctness — a group's
+// slice (streamSlice). Slicing preserves correctness — a group's
 // publish/reconcile cursor lives in its store, so every slice resumes
 // from the durable frontier — and the rotation bounds how long any group
 // waits between slices.
@@ -226,11 +216,11 @@ func (s *Scheduler) RunStreaming(ctx context.Context) error {
 					if !alive {
 						return // every group failed
 					}
-					idle(s.slice) // all live groups held by other workers
+					idle(streamSlice) // all live groups held by other workers
 					continue
 				}
 				start := time.Now()
-				sctx, cancel := context.WithTimeout(ctx, s.slice)
+				sctx, cancel := context.WithTimeout(ctx, streamSlice)
 				err := g.sys.RunStreaming(sctx)
 				cancel()
 				if err != nil && ctx.Err() == nil {
@@ -243,7 +233,7 @@ func (s *Scheduler) RunStreaming(ctx context.Context) error {
 				// A turn is one slice of attention whether or not the group
 				// used it: sleeping out an early return keeps a fleet of
 				// empty groups from hot-spinning the rotation.
-				if rest := s.slice - time.Since(start); err == nil && rest > 0 {
+				if rest := streamSlice - time.Since(start); err == nil && rest > 0 {
 					idle(rest)
 				}
 			}

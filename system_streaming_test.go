@@ -385,9 +385,7 @@ func TestStreamingDifferential(t *testing.T) {
 				name := fmt.Sprintf("shards=%d/groupcommit=%v/compaction=%v", shards, group, compact)
 				t.Run(name, func(t *testing.T) {
 					opts := []central.Option{central.WithTableShards(shards)}
-					if group {
-						opts = append(opts, central.WithGroupCommit(0))
-					} else {
+					if !group {
 						opts = append(opts, central.WithSerialCommit())
 					}
 					if compact {
