@@ -137,10 +137,11 @@ func (c *StoreCounters) ObserveDedupHit() {
 	c.dedupHits.Add(1)
 }
 
-// ObserveTrustRecompiles counts n effective-trust recompilations caused
-// by one trust registration — the incremental re-evaluation cost of a
-// mid-stream mapping change (1 for an isolated peer, more when other
-// participants delegate to it, never the whole membership).
+// ObserveTrustRecompiles counts n effective policies rebuilt by one
+// trust registration — the incremental re-evaluation cost of a
+// mid-stream mapping change (1 for an isolated peer or an edit the
+// delegators' caps hide, more when other participants' effective
+// policies change with it).
 func (c *StoreCounters) ObserveTrustRecompiles(n int) {
 	if c == nil || n <= 0 {
 		return
@@ -183,7 +184,7 @@ type StoreSnapshot struct {
 
 	DedupHits int64 // duplicate keyed deliveries answered from dedup state
 
-	TrustRecompiles int64 // effective-trust recompilations across all registrations
+	TrustRecompiles int64 // effective policies rebuilt across all registrations
 
 	ShardPublishes  []int64 // publish commits per table shard (nil when unsharded)
 	ShardContention []int64 // same-shard publish overlaps per table shard

@@ -271,11 +271,15 @@ type Store struct {
 	peersMu sync.RWMutex
 	peers   map[core.PeerID]*peerMeta
 
+	// trustMu serializes registrations. Only registration adds peers or
+	// writes a peerMeta's trust and prio after recovery, so under trustMu
+	// both may be read without peersMu or the peer's mutex.
+	trustMu sync.Mutex
 	// trustGraph resolves registered textual policies' delegations into
 	// each peer's effective, compiled trust. Registration (and recovery)
-	// feed it; peerMeta.trust always holds the resolved form. Mutations
-	// happen under peersMu, so the affected peers' metas can be updated
-	// atomically with the graph.
+	// feed it; peerMeta.trust always holds the resolved form. It resolves
+	// under trustMu alone — no store lock — and registration then swaps
+	// each changed peer's trust under that peer's mutex.
 	trustGraph *trust.Graph
 
 	// snapMu serializes Snapshot and CompactBefore against each other; it
@@ -835,7 +839,7 @@ func (s *Store) loadCaches() error {
 		// any policy is resolved: a policy may delegate to a peer whose
 		// row scans later, and per-row resolution would bind incomplete
 		// closures.
-		recoveredTrust := make(map[core.PeerID]*trust.Policy)
+		recoveredTrust := make(map[core.PeerID]core.Trust)
 		if err := tx.Scan(s.trustTab, func(r reldb.Row) bool {
 			if s.peers[core.PeerID(r[0].S())] == nil {
 				return true
@@ -853,11 +857,9 @@ func (s *Store) loadCaches() error {
 		if scanErr != nil {
 			return scanErr
 		}
-		for peer, p := range recoveredTrust {
-			// Registration order is irrelevant: Set re-resolves every
-			// already-loaded policy whose closure reaches the new member.
-			s.trustGraph.Set(peer, p)
-		}
+		// One bulk load resolves each recovered policy exactly once, in
+		// any row order.
+		s.trustGraph.Load(recoveredTrust)
 		for peer := range recoveredTrust {
 			pm := s.peers[peer]
 			pm.trust = s.trustGraph.Effective(peer)
@@ -952,11 +954,19 @@ func (s *Store) loadSnapshotState() error {
 // The textual form stays the durable format; what registration installs
 // is the policy's *effective* decision program, resolved through the
 // store's trust graph. Delegations must name peers this store already
-// knows. Re-registration recompiles only the affected participants —
-// those whose delegation closure reaches this peer.
+// knows. Re-registration rebuilds only the participants whose effective
+// policy can change (see trust.Graph); an edit that keeps the peer's
+// delegation edges usually rebuilds the peer alone.
+//
+// Registrations are serialized among themselves, and resolution holds no
+// store lock: publishes, reconciliations and decisions of every peer go
+// on meanwhile. The results are installed copy-on-write — a new peer's
+// meta under the registry lock, each rebuilt peer's trust and priority
+// cache under that peer's mutex — so a reconciliation prices a window
+// wholly under the old effective trust or wholly under the new.
 func (s *Store) RegisterPeer(_ context.Context, peer core.PeerID, t core.Trust) error {
-	s.peersMu.Lock()
-	defer s.peersMu.Unlock()
+	s.trustMu.Lock()
+	defer s.trustMu.Unlock()
 	if pol, ok := t.(*trust.Policy); ok {
 		if pol.Schema() == nil {
 			pol.WithSchema(s.schema)
@@ -967,13 +977,14 @@ func (s *Store) RegisterPeer(_ context.Context, peer core.PeerID, t core.Trust) 
 			if d.Peer == peer {
 				continue
 			}
-			if _, known := s.peers[d.Peer]; !known {
+			if _, err := s.peer(d.Peer); err != nil {
 				return fmt.Errorf("central: peer %s delegates to unregistered peer %s", peer, d.Peer)
 			}
 		}
 	}
-	_, known := s.peers[peer]
-	err := s.db.Update(func(tx *reldb.Tx) error {
+	_, err := s.peer(peer)
+	known := err == nil
+	err = s.db.Update(func(tx *reldb.Tx) error {
 		if !known {
 			if err := tx.Insert(s.peersTab, reldb.Row{reldb.Str(string(peer)), reldb.Int(0), reldb.Int(0)}); err != nil {
 				return err
@@ -988,25 +999,34 @@ func (s *Store) RegisterPeer(_ context.Context, peer core.PeerID, t core.Trust) 
 	if err != nil {
 		return err
 	}
+	before := s.trustGraph.TotalRecompiles()
+	affected := s.trustGraph.Set(peer, t)
 	if !known {
+		eff := s.trustGraph.Effective(peer)
+		s.peersMu.Lock()
 		s.peers[peer] = &peerMeta{
+			trust:      eff,
+			prio:       core.NewPriorityCache(eff),
 			decided:    make(map[core.TxnID]core.Decision),
 			decidedSeq: make(map[core.TxnID]int64),
 		}
+		s.peersMu.Unlock()
 	}
-	affected := s.trustGraph.Set(peer, t)
 	for _, ap := range affected {
-		pm := s.peers[ap]
-		if pm == nil {
+		pm, err := s.peer(ap)
+		if err != nil {
 			continue
 		}
 		eff := s.trustGraph.Effective(ap)
+		if _, ok := eff.(*trust.Policy); ok && pm.trust == eff {
+			continue // not rebuilt: the priority cache stays valid
+		}
 		pm.mu.Lock()
 		pm.trust = eff
 		pm.prio = core.NewPriorityCache(eff)
 		pm.mu.Unlock()
 	}
-	s.counters.ObserveTrustRecompiles(len(affected))
+	s.counters.ObserveTrustRecompiles(s.trustGraph.TotalRecompiles() - before)
 	return nil
 }
 

@@ -36,6 +36,7 @@ func compileProgram(rules []Rule, dyn []dynSource, schema *core.Schema) *program
 		litIdx:  make(map[val]int32),
 	}
 	pr := b.pr
+	var origins []core.PeerID // reused across rules
 	for i := range rules {
 		r := &rules[i]
 		if v, ok := foldConst(r.expr); ok {
@@ -46,10 +47,13 @@ func compileProgram(rules []Rule, dyn []dynSource, schema *core.Schema) *program
 			}
 			continue
 		}
-		if origins, ok := originDispatch(r.expr); ok {
+		if os, ok := originDispatch(r.expr, origins[:0]); ok {
 			// origin = 'x' / origin in (...): one map lookup at eval.
+			origins = os
 			if pr.originPrio == nil {
-				pr.originPrio = make(map[core.PeerID]int)
+				// Sized for the remaining rules: resolved delegation
+				// policies are mostly origin vouches.
+				pr.originPrio = make(map[core.PeerID]int, len(rules)-i)
 			}
 			for _, o := range origins {
 				if r.Priority > pr.originPrio[o] {
@@ -128,7 +132,8 @@ func hasLeaves(e expr) bool {
 // with equality semantics: `origin = '<peer>'` (either side) and
 // `origin in (...)`. Non-string members can never equal the (string)
 // origin and are dropped; a rule with no string members never fires.
-func originDispatch(e expr) ([]core.PeerID, bool) {
+// The origins are appended to buf.
+func originDispatch(e expr, buf []core.PeerID) ([]core.PeerID, bool) {
 	switch n := e.(type) {
 	case *cmpExpr:
 		if n.op != tokEq {
@@ -143,19 +148,18 @@ func originDispatch(e expr) ([]core.PeerID, bool) {
 		if lit == nil || lit.v.kind != 's' {
 			return nil, false
 		}
-		return []core.PeerID{core.PeerID(lit.v.s)}, true
+		return append(buf, core.PeerID(lit.v.s)), true
 	case *inExpr:
 		f, ok := n.l.(*fieldExpr)
 		if !ok || f.f != fieldOrigin {
 			return nil, false
 		}
-		out := []core.PeerID{}
 		for _, o := range n.opts {
 			if o.kind == 's' {
-				out = append(out, core.PeerID(o.s))
+				buf = append(buf, core.PeerID(o.s))
 			}
 		}
-		return out, true
+		return buf, true
 	}
 	return nil, false
 }

@@ -1,7 +1,9 @@
 package trust
 
 import (
+	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"orchestra/internal/core"
@@ -241,4 +243,45 @@ func TestDelegationParseErrors(t *testing.T) {
 	if ds := p.Delegations(); len(ds) != 1 || ds[0].Cap != 5 {
 		t.Errorf("delegations = %v", ds)
 	}
+}
+
+// TestGraphConcurrentReaders: readers never wait on, or race with, a
+// writer's resolution — they see each member's previous or new effective
+// trust, never a torn one. Run under -race.
+func TestGraphConcurrentReaders(t *testing.T) {
+	g := NewGraph(nil)
+	g.Set("c", MustParse("priority 9 when origin = 'pz'"))
+	g.Set("b", MustParse("priority 4 when origin = 'py'\ndelegate 'c' priority 2"))
+	g.Set("a", MustParse("priority 5 when origin = 'px'\ndelegate 'b' priority 3"))
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if got := g.Effective("a").Priority(ins("pz", "r", "p", "f")); got != 2 {
+					t.Errorf("effective(a) priority(pz) = %d, want 2", got)
+					return
+				}
+				g.Closure("a")
+				g.Members()
+				g.Recompiles("b")
+				g.Member("d")
+			}
+		}()
+	}
+	for k := 0; k < 200; k++ {
+		g.Set("c", MustParse(fmt.Sprintf("priority %d when origin = 'pz'", 2+k%5)))
+		g.Set("d", MustParse("priority 1 when true\ndelegate 'a' priority 1"))
+		g.Remove("d")
+		g.Load(map[core.PeerID]core.Trust{"b": MustParse("priority 4 when origin = 'py'\ndelegate 'c' priority 2")})
+	}
+	close(stop)
+	wg.Wait()
 }
