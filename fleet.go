@@ -574,16 +574,6 @@ func (rs *routedStore) ReplayFrom(ctx context.Context, peer core.PeerID, from co
 	return sr.ReplayFrom(ctx, peer, from, afterSeq)
 }
 
-func (rs *routedStore) ReplayFor(ctx context.Context, peer core.PeerID) ([]store.PublishedTxn, map[core.TxnID]core.RestoredDecision, error) {
-	st := rs.enter()
-	defer rs.exit()
-	rp, ok := st.(store.Replayer)
-	if !ok {
-		return nil, nil, fmt.Errorf("orchestra: routed store target %T cannot replay", st)
-	}
-	return rp.ReplayFor(ctx, peer)
-}
-
 func (rs *routedStore) EffectiveTrust(ctx context.Context, peer core.PeerID) (core.Trust, error) {
 	st := rs.enter()
 	defer rs.exit()
@@ -606,12 +596,6 @@ func (rs *routedStore) CanSnapshot(ctx context.Context) bool {
 	return store.CanSnapshot(ctx, st)
 }
 
-func (rs *routedStore) CanReplay(ctx context.Context) bool {
-	st := rs.enter()
-	defer rs.exit()
-	return store.CanReplay(ctx, st)
-}
-
 func (rs *routedStore) CanDedupe(ctx context.Context) bool {
 	st := rs.enter()
 	defer rs.exit()
@@ -631,6 +615,5 @@ var (
 	_ store.Watcher          = (*routedStore)(nil)
 	_ store.Snapshotter      = (*routedStore)(nil)
 	_ store.SnapshotReplayer = (*routedStore)(nil)
-	_ store.Replayer         = (*routedStore)(nil)
 	_ store.TrustResolver    = (*routedStore)(nil)
 )

@@ -92,7 +92,7 @@ func (e *Engine) ExportSnapshot() *EngineSnapshot {
 // from the snapshot: instance, applied/rejected sets, provenance, and local
 // sequence come back exactly as exported. The caller supplies the trust
 // policy (policies are not part of the snapshot, mirroring RebuildPeer's
-// signature). Use Engine.RestoreTail afterwards to replay the update-store
+// signature). Use Engine.Restore afterwards to replay the update-store
 // log suffix the snapshot does not cover.
 func NewEngineFromSnapshot(schema *Schema, trust Trust, snap *EngineSnapshot, opts ...EngineOption) (*Engine, error) {
 	e := NewEngine(snap.Peer, schema, trust, opts...)

@@ -120,7 +120,7 @@ func TestRestoreTailEquivalence(t *testing.T) {
 	}
 	// Overlapping log entries (the full log, not just the tail) must be
 	// harmless: already-decided transactions are skipped.
-	if err := tailEng.RestoreTail(full, tailDecs); err != nil {
+	if err := tailEng.Restore(full, tailDecs); err != nil {
 		t.Fatal(err)
 	}
 	engineStateEqual(t, "snapshot+tail vs full replay", fullEng, tailEng)

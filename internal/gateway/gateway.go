@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"net/url"
 	"strconv"
 	"time"
 
@@ -463,40 +464,33 @@ func (g *Gateway) handleSnapshotLatest(w http.ResponseWriter, r *http.Request) e
 	})
 }
 
-// handleReplay serves peer reconstruction: without from/after_seq it is the
-// full-history ReplayFor; with them, the post-snapshot tail ReplayFrom.
+// handleReplay serves peer reconstruction: the log after epoch `from`
+// (default 0, the whole history) and the peer's decisions after
+// `after_seq` (default 0, all of them) — the ReplayFrom fetch of
+// store.RebuildPeer.
 func (g *Gateway) handleReplay(w http.ResponseWriter, r *http.Request) error {
 	q := r.URL.Query()
 	peer := core.PeerID(q.Get("peer"))
 	if peer == "" {
 		return badRequest{errors.New("missing peer parameter")}
 	}
+	from, err := cursorParam(q, "from")
+	if err != nil {
+		return err
+	}
+	afterSeq, err := cursorParam(q, "after_seq")
+	if err != nil {
+		return err
+	}
 	st, err := g.storeFor(r)
 	if err != nil {
 		return err
 	}
-	var (
-		txns      []store.PublishedTxn
-		decisions map[core.TxnID]core.RestoredDecision
-	)
-	if q.Get("from") != "" {
-		from, err1 := strconv.ParseInt(q.Get("from"), 10, 64)
-		afterSeq, err2 := strconv.ParseInt(q.Get("after_seq"), 10, 64)
-		if err1 != nil || (q.Get("after_seq") != "" && err2 != nil) {
-			return badRequest{errors.New("bad from/after_seq parameters")}
-		}
-		sr, ok := st.(store.SnapshotReplayer)
-		if !ok {
-			return badRequest{errors.New("backend does not support tail replay")}
-		}
-		txns, decisions, err = sr.ReplayFrom(r.Context(), peer, core.Epoch(from), afterSeq)
-	} else {
-		rp, ok := st.(store.Replayer)
-		if !ok || !store.CanReplay(r.Context(), st) {
-			return badRequest{errors.New("backend does not support replay")}
-		}
-		txns, decisions, err = rp.ReplayFor(r.Context(), peer)
+	sr, ok := st.(store.SnapshotReplayer)
+	if !ok || !store.CanReplay(r.Context(), st) {
+		return badRequest{errors.New("backend does not support replay")}
 	}
+	txns, decisions, err := sr.ReplayFrom(r.Context(), peer, core.Epoch(from), afterSeq)
 	if err != nil {
 		return err
 	}
@@ -513,6 +507,21 @@ func (g *Gateway) handleReplay(w http.ResponseWriter, r *http.Request) error {
 		resp.Decisions = append(resp.Decisions, wireDecision{ID: wireID(id), Accepted: d.Decision == core.DecisionAccept, Seq: d.Seq})
 	}
 	return writeJSON(w, resp)
+}
+
+// cursorParam parses an optional non-negative cursor (an epoch or a
+// decision sequence) from the query; absent means 0. A malformed or
+// negative cursor is outside input the caller got wrong: a 400.
+func cursorParam(q url.Values, name string) (int64, error) {
+	s := q.Get(name)
+	if s == "" {
+		return 0, nil
+	}
+	v, err := strconv.ParseInt(s, 10, 64)
+	if err != nil || v < 0 {
+		return 0, badRequest{fmt.Errorf("bad %s parameter", name)}
+	}
+	return v, nil
 }
 
 // watchResp is one long-poll answer: the contiguous events since `from`
@@ -536,12 +545,9 @@ type watchEventJSON struct {
 // subscription breaks (the client resumes from its cursor).
 func (g *Gateway) handleWatch(w http.ResponseWriter, r *http.Request) error {
 	q := r.URL.Query()
-	var from int64
-	if s := q.Get("from"); s != "" {
-		var err error
-		if from, err = strconv.ParseInt(s, 10, 64); err != nil {
-			return badRequest{errors.New("bad from parameter")}
-		}
+	from, err := cursorParam(q, "from")
+	if err != nil {
+		return err
 	}
 	st, err := g.storeFor(r)
 	if err != nil {

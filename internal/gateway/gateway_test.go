@@ -233,6 +233,33 @@ func TestGatewayErrorMapping(t *testing.T) {
 	}
 }
 
+// TestGatewayMalformedCursor: replay and watch cursors are outside input;
+// a negative or unparsable one is the caller's mistake, a 400 — never a
+// 500 from deep in the store.
+func TestGatewayMalformedCursor(t *testing.T) {
+	srv, _, _ := newTestGateway(t, Options{})
+	url := srv.URL
+	register(t, url, "alice")
+	for _, tc := range []struct {
+		path string
+		want int
+	}{
+		{"/v1/replay?peer=alice", http.StatusOK},
+		{"/v1/replay?peer=alice&from=0&after_seq=0", http.StatusOK},
+		{"/v1/replay?peer=alice&from=-1", http.StatusBadRequest},
+		{"/v1/replay?peer=alice&from=0&after_seq=-5", http.StatusBadRequest},
+		{"/v1/replay?peer=alice&after_seq=-1", http.StatusBadRequest},
+		{"/v1/replay?peer=alice&from=x", http.StatusBadRequest},
+		{"/v1/replay?peer=alice&from=0&after_seq=x", http.StatusBadRequest},
+		{"/v1/watch?from=-1", http.StatusBadRequest},
+		{"/v1/watch?from=x", http.StatusBadRequest},
+	} {
+		if code, _, _ := call(t, "GET", url+tc.path, nil, nil); code != tc.want {
+			t.Errorf("GET %s: status %d, want %d", tc.path, code, tc.want)
+		}
+	}
+}
+
 // TestGatewayAuthRejection: the pluggable hook sees every gated request;
 // a rejection is 401 before any store work, and the ops surface stays
 // reachable without credentials.

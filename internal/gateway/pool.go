@@ -64,15 +64,6 @@ func (p *Pool) CurrentRecno(ctx context.Context, peer core.PeerID) (int, error) 
 // them (the remote client always does; whether they work is the probes'
 // answer).
 
-func (p *Pool) CanReplay(ctx context.Context) bool { return store.CanReplay(ctx, p.stores[0]) }
-
-func (p *Pool) ReplayFor(ctx context.Context, peer core.PeerID) ([]store.PublishedTxn, map[core.TxnID]core.RestoredDecision, error) {
-	if rp, ok := p.pick().(store.Replayer); ok {
-		return rp.ReplayFor(ctx, peer)
-	}
-	return nil, nil, errNoCapability("replay")
-}
-
 func (p *Pool) CanSnapshot(ctx context.Context) bool { return store.CanSnapshot(ctx, p.stores[0]) }
 
 func (p *Pool) Snapshot(ctx context.Context) (core.Epoch, error) {

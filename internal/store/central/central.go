@@ -1656,48 +1656,3 @@ func (s *Store) TxnCount() int {
 	}
 	return n
 }
-
-// ReplayFor implements store.Replayer: the full published log in global
-// order together with the peer's recorded decisions in acceptance order,
-// from which a lost client reconstructs itself (see docs/RECOVERY.md).
-// After compaction, full replay no longer exists for peers the retained
-// snapshot covers — their early history lives only in the snapshot — so
-// the call fails for them; store.RebuildPeer takes the snapshot + tail
-// path instead. Peers registered after the snapshot (whose whole history
-// is in the retained epochs) still replay fully.
-func (s *Store) ReplayFor(_ context.Context, peer core.PeerID) ([]store.PublishedTxn, map[core.TxnID]core.RestoredDecision, error) {
-	pm, err := s.peer(peer)
-	if err != nil {
-		return nil, nil, err
-	}
-	s.snapState.mu.RLock()
-	compacted := s.snapState.compacted
-	snapCovered := s.snapState.covered[peer]
-	s.snapState.mu.RUnlock()
-	if compacted > 0 && snapCovered {
-		return nil, nil, fmt.Errorf("central: epochs through %d are compacted; rebuild %s from the retained snapshot (store.RebuildPeer)", compacted, peer)
-	}
-	s.epochMu.RLock()
-	maxE := s.maxE
-	s.epochMu.RUnlock()
-	var log []store.PublishedTxn
-	// Epoch order × publish order within an epoch = global order.
-	for e := core.Epoch(1); e <= maxE; e++ {
-		em := s.epoch(e)
-		if em == nil {
-			continue
-		}
-		for _, id := range em.txnIDs() {
-			if en := s.lookup(id); en != nil {
-				log = append(log, en.pub)
-			}
-		}
-	}
-	pm.mu.Lock()
-	defer pm.mu.Unlock()
-	decisions := make(map[core.TxnID]core.RestoredDecision, len(pm.decided))
-	for id, d := range pm.decided {
-		decisions[id] = core.RestoredDecision{Decision: d, Seq: pm.decidedSeq[id]}
-	}
-	return log, decisions, nil
-}

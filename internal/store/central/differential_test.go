@@ -139,7 +139,7 @@ func differentialWorkload(t *testing.T, compact bool, opts ...Option) string {
 	if !compact {
 		// Uncompacted stores also pin the raw replayed decision sequences.
 		for _, id := range ids {
-			_, decisions, err := s2.ReplayFor(ctx, id)
+			_, decisions, err := s2.ReplayFrom(ctx, id, 0, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -129,7 +129,7 @@ func TestRebuildPeerReconstructsState(t *testing.T) {
 func checkRebuilds(t *testing.T, s *Store, schema *core.Schema, peers []*store.Peer, trustFor func(int) core.Trust) {
 	t.Helper()
 	ctx := context.Background()
-	log, _, err := s.ReplayFor(ctx, peers[0].ID())
+	log, _, err := s.ReplayFrom(ctx, peers[0].ID(), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,3 +219,55 @@ func TestRebuildRequiresReplayer(t *testing.T) {
 }
 
 type nonReplayer struct{ store.Store }
+
+// TestRebuildPeerRegisteredAfterCompaction: a peer that registers after a
+// compaction is not covered by the retained snapshot, so RebuildPeer starts
+// it from a fresh engine and replays from epoch 0 across the compaction
+// horizon — which ReplayFrom allows for it, while a covered peer's replay
+// from 0 fails with the compaction error.
+func TestRebuildPeerRegisteredAfterCompaction(t *testing.T) {
+	ctx := context.Background()
+	schema := storetest.Schema(t)
+	s := MustOpenMemory(schema)
+	defer s.Close()
+	peers := snapshotHistory(t, s, schema)
+	horizon, err := s.Snapshot(ctx)
+	if err != nil || horizon == 0 {
+		t.Fatalf("snapshot: %d, %v", horizon, err)
+	}
+	if err := s.CompactBefore(ctx, horizon); err != nil {
+		t.Fatalf("compact: %v", err)
+	}
+
+	trustN := storetest.TrustOrigins(map[core.PeerID]int{"pa": 2, "pb": 1})
+	pn, err := store.NewPeer(ctx, "pn", schema, trustN, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cycle := func(p *store.Peer, us ...core.Update) *core.Result {
+		t.Helper()
+		if len(us) > 0 {
+			if _, err := p.Edit(us...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := p.PublishAndReconcile(ctx)
+		if err != nil {
+			t.Fatalf("cycle %s: %v", p.ID(), err)
+		}
+		return res
+	}
+	// pn publishes its own edit, then decides a post-compaction conflict:
+	// pa's value wins over pb's.
+	cycle(pn, core.Insert("F", core.Strs("dog", "p3", "n"), "pn"))
+	cycle(peers["pa"], core.Insert("F", core.Strs("mouse", "p2", "hi"), "pa"))
+	cycle(peers["pb"], core.Insert("F", core.Strs("mouse", "p2", "lo"), "pb"))
+	if res := cycle(pn); len(res.Accepted) == 0 || len(res.Rejected) == 0 {
+		t.Fatalf("pn post-compaction outcome: %+v", res)
+	}
+
+	if _, _, err := s.ReplayFrom(ctx, "pq", 0, 0); err == nil || !strings.Contains(err.Error(), "compacted") {
+		t.Errorf("ReplayFrom(pq, 0, 0) after compaction: %v, want compaction error", err)
+	}
+	checkRebuilds(t, s, schema, []*store.Peer{pn}, func(int) core.Trust { return trustN })
+}

@@ -216,7 +216,7 @@ func (s *Store) snapshotLocked(ctx context.Context, key store.IdempotencyKey) (c
 				decs[id] = core.RestoredDecision{Decision: cp.decided[id], Seq: seq}
 			}
 		}
-		if err := eng.RestoreTail(logged, decs); err != nil {
+		if err := eng.Restore(logged, decs); err != nil {
 			return 0, fmt.Errorf("central: snapshot state for %s: %w", cp.id, err)
 		}
 		snap.Peers = append(snap.Peers, store.PeerSnapshot{
@@ -321,9 +321,12 @@ func (s *Store) LatestSnapshot(_ context.Context) (*store.Snapshot, error) {
 
 // ReplayFrom implements store.SnapshotReplayer: the published tail above
 // the given epoch in global order, plus the peer's decisions recorded after
-// the afterSeq high-water mark. The tail never needs compacted payloads:
-// from must be at or above the compaction horizon (snapshot epochs always
-// are).
+// the afterSeq high-water mark (see docs/RECOVERY.md). Below the
+// compaction horizon the log no longer exists for peers the retained
+// snapshot covers — their early history lives only in the snapshot — so
+// the call fails for them; store.RebuildPeer starts them from the
+// snapshot. Peers registered after the snapshot, whose whole history is in
+// the retained epochs, replay from any epoch.
 func (s *Store) ReplayFrom(_ context.Context, peer core.PeerID, from core.Epoch, afterSeq int64) ([]store.PublishedTxn, map[core.TxnID]core.RestoredDecision, error) {
 	pm, err := s.peer(peer)
 	if err != nil {
@@ -331,9 +334,10 @@ func (s *Store) ReplayFrom(_ context.Context, peer core.PeerID, from core.Epoch,
 	}
 	s.snapState.mu.RLock()
 	compacted := s.snapState.compacted
+	covered := s.snapState.covered[peer]
 	s.snapState.mu.RUnlock()
-	if from < compacted {
-		return nil, nil, fmt.Errorf("central: replay from epoch %d crosses the compaction horizon %d", from, compacted)
+	if from < compacted && covered {
+		return nil, nil, fmt.Errorf("central: epochs through %d are compacted; rebuild %s from the retained snapshot (store.RebuildPeer)", compacted, peer)
 	}
 	s.epochMu.RLock()
 	maxE := s.maxE
@@ -359,6 +363,13 @@ func (s *Store) ReplayFrom(_ context.Context, peer core.PeerID, from core.Epoch,
 		}
 	}
 	return log, decisions, nil
+}
+
+// ReplayFor is ReplayFrom(peer, 0, 0), the whole history. Nothing in this
+// module calls it; it stays because the repository benchmark's ingest
+// audit does.
+func (s *Store) ReplayFor(ctx context.Context, peer core.PeerID) ([]store.PublishedTxn, map[core.TxnID]core.RestoredDecision, error) {
+	return s.ReplayFrom(ctx, peer, 0, 0)
 }
 
 // CompactionHorizon returns the highest epoch CompactBefore would currently

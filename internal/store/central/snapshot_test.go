@@ -246,8 +246,8 @@ func TestCompactionSurvivesReopen(t *testing.T) {
 	// Full replay is gone for snapshot-covered peers — by design, with a
 	// pointed error — but the snapshot + tail rebuild matches the
 	// pre-reopen rebuild exactly.
-	if _, _, err := s2.ReplayFor(ctx, "pq"); err == nil || !strings.Contains(err.Error(), "compacted") {
-		t.Errorf("ReplayFor after compaction: %v, want compaction error", err)
+	if _, _, err := s2.ReplayFrom(ctx, "pq", 0, 0); err == nil || !strings.Contains(err.Error(), "compacted") {
+		t.Errorf("ReplayFrom(pq, 0, 0) after compaction: %v, want compaction error", err)
 	}
 	post, err := store.RebuildPeer(ctx, "pq", schema, trustQ, s2)
 	if err != nil {

@@ -204,6 +204,8 @@ func (cl *client) BeginReconciliation(ctx context.Context, peer core.PeerID) (*s
 
 // RecordDecisions implements store.Store: the reconciliation algorithm
 // notifies the appropriate transaction controllers of accepts and rejects.
+// It stays per-decision because it is the paper's evaluation path: the
+// message counts of Figures 10 and 12 come from it.
 func (cl *client) RecordDecisions(ctx context.Context, peer core.PeerID, _ int, accepted, rejected []core.TxnID) error {
 	for _, id := range accepted {
 		if err := cl.call(ctx, txnKey(id), mTxnDecide,

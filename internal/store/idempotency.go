@@ -35,6 +35,9 @@ type IdempotencyProber interface {
 }
 
 // CanDedupe reports whether the store dedupes idempotency-keyed calls.
+//
+// It stays one probe per capability, not one bitset, because the
+// repository benchmark asks each by name.
 func CanDedupe(ctx context.Context, s Store) bool {
 	p, ok := s.(IdempotencyProber)
 	return ok && p.CanDedupe(ctx)

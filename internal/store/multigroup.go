@@ -15,6 +15,9 @@ type MultiGroupProber interface {
 // CanMultiGroup reports whether the store's backend supports multi-group
 // tenancy, asking a MultiGroupProber if the store is one (a proxy knows
 // better than its static type) and defaulting to no.
+//
+// It stays one probe per capability, not one bitset, because the
+// repository benchmark asks each by name.
 func CanMultiGroup(ctx context.Context, st Store) bool {
 	if p, ok := st.(MultiGroupProber); ok {
 		return p.CanMultiGroup(ctx)

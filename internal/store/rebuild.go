@@ -7,115 +7,98 @@ import (
 	"orchestra/internal/core"
 )
 
-// Replayer is the optional store capability behind the paper's §5.2
-// soft-state guarantee: a participant's entire state is reconstructable
-// from the update store. ReplayFor is the full-history path; stores that
-// also implement SnapshotReplayer offer the bounded snapshot + tail path,
-// which RebuildPeer prefers. The central store implements both, the remote
-// client proxies both to its server's backend, and the DHT store implements
-// neither (a full scan of every transaction controller is exactly the kind
-// of operation the paper's design avoids). The recovery contract — which
-// path applies when, and what compaction changes — is documented in
-// docs/RECOVERY.md.
+// Replayer is the full-history replay capability. Peer reconstruction
+// does not use it — it reads the log through SnapshotReplayer.ReplayFrom
+// alone — and it stays only because the repository benchmark's timing
+// wrapper names it.
 type Replayer interface {
 	// ReplayFor returns every published transaction in global order
 	// together with the peer's recorded decisions (with their acceptance
-	// sequence). After compaction it fails for peers covered by the
-	// retained snapshot: their early history exists only in the snapshot.
+	// sequence).
 	ReplayFor(ctx context.Context, peer core.PeerID) ([]PublishedTxn, map[core.TxnID]core.RestoredDecision, error)
-}
-
-// ReplayProber lets a store client answer the CanReplay question
-// dynamically. The remote client needs it: it always has a ReplayFor
-// method (the RPC stub), but whether replay actually works depends on the
-// backend at the other end of the wire.
-type ReplayProber interface {
-	CanReplay(ctx context.Context) bool
 }
 
 // CanReplay reports whether the store supports peer reconstruction — the
 // gate callers (and the storetest conformance suite) check before reaching
-// for RebuildPeer. A store that implements ReplayProber is asked; anything
-// else is judged by whether it implements Replayer at all.
-func CanReplay(ctx context.Context, st Store) bool {
-	if p, ok := st.(ReplayProber); ok {
-		return p.CanReplay(ctx)
-	}
-	_, ok := st.(Replayer)
-	return ok
-}
+// for RebuildPeer. Reconstruction reads the log with ReplayFrom, so this is
+// exactly the CanSnapshot answer; it stays as its own name because the
+// repository benchmark asks it.
+func CanReplay(ctx context.Context, st Store) bool { return CanSnapshot(ctx, st) }
 
 // RebuildPeer reconstructs a participant's engine — instance, applied and
-// rejected sets, provenance — from the update store alone. When the store
-// retains a snapshot covering the peer (SnapshotReplayer), the rebuild is
-// bounded: the engine is restored from the snapshot and only the log tail
-// after the snapshot epoch is replayed — for a remote store, two round
-// trips instead of shipping the whole history. Otherwise it falls back to
-// FullReplayRebuild. Deferred state is not recorded in the store (it is
-// client soft state in the truest sense) and is reconstructed by the next
-// reconciliation, which reconsiders anything undecided.
+// rejected sets, provenance — from the update store alone (the paper's
+// §5.2 soft-state guarantee; docs/RECOVERY.md has the contract). There is
+// one path: when the store retains a snapshot covering the peer, the
+// engine starts from the peer's snapshot state and the log from the
+// snapshot's residue, and ReplayFrom fetches only the tail after the
+// snapshot epoch and decision high-water mark; otherwise the engine starts
+// fresh and ReplayFrom fetches the whole log from epoch 0. Either way one
+// Engine.Restore folds the log. Deferred state is not recorded in the
+// store (it is client soft state in the truest sense) and is reconstructed
+// by the next reconciliation, which reconsiders anything undecided.
 //
 // The returned peer is ready to continue reconciling where the lost one
 // stopped.
 func RebuildPeer(ctx context.Context, id core.PeerID, schema *core.Schema, trust core.Trust, st Store) (*Peer, error) {
-	if sr, ok := st.(SnapshotReplayer); ok && CanSnapshot(ctx, st) {
-		// LatestSnapshot and ReplayFrom are two calls; a concurrent
-		// snapshot + compaction cycle can retire the fetched snapshot in
-		// between, failing the tail fetch. One retry against the fresh
-		// snapshot resolves that transient — a second failure is a real
-		// error.
-		for attempt := 0; ; attempt++ {
-			snap, err := sr.LatestSnapshot(ctx)
-			if err != nil {
-				return nil, err
-			}
-			if snap == nil || snap.Peer(id) == nil {
-				break // no snapshot coverage: full replay below
-			}
-			p, err := rebuildFromSnapshot(ctx, schema, trust, st, sr, snap, snap.Peer(id))
-			if err == nil || attempt > 0 {
-				return p, err
-			}
-		}
-	}
-	return FullReplayRebuild(ctx, id, schema, trust, st)
+	return rebuild(ctx, id, schema, trust, st, true)
 }
 
-// FullReplayRebuild reconstructs the peer by replaying the complete
-// published log — the historical O(total history) path, and the fallback
-// for stores without a snapshot (or peers a snapshot does not cover).
+// FullReplayRebuild is RebuildPeer with the snapshot skipped: a fresh
+// engine folds the whole log from epoch 0. It is the reference the rebuild
+// tests compare the snapshot start against; after compaction it fails for
+// peers the retained snapshot covers, whose early history exists only
+// there.
 func FullReplayRebuild(ctx context.Context, id core.PeerID, schema *core.Schema, trust core.Trust, st Store) (*Peer, error) {
-	rp, ok := st.(Replayer)
+	return rebuild(ctx, id, schema, trust, st, false)
+}
+
+func rebuild(ctx context.Context, id core.PeerID, schema *core.Schema, trust core.Trust, st Store, useSnapshot bool) (*Peer, error) {
+	sr, ok := st.(SnapshotReplayer)
 	if !ok {
 		return nil, fmt.Errorf("store: %T cannot replay peer state", st)
 	}
-	log, decisions, err := rp.ReplayFor(ctx, id)
-	if err != nil {
-		return nil, err
+	useSnapshot = useSnapshot && CanSnapshot(ctx, st)
+	// LatestSnapshot and ReplayFrom are two calls; a concurrent snapshot +
+	// compaction cycle can retire the fetched snapshot (or newly cover the
+	// peer) in between, failing the fetch. One retry against the fresh
+	// snapshot resolves that transient — a second failure is a real error.
+	for attempt := 0; ; attempt++ {
+		p, err := rebuildOnce(ctx, id, schema, trust, st, sr, useSnapshot)
+		if err == nil || !useSnapshot || attempt > 0 {
+			return p, err
+		}
 	}
-	engine := core.NewEngine(id, schema, trust)
-	if err := engine.Restore(loggedTxns(log), decisions); err != nil {
-		return nil, err
-	}
-	return &Peer{engine: engine, store: st}, nil
 }
 
-// rebuildFromSnapshot is the bounded path: seed the engine from the peer's
-// snapshot state, then replay the residue plus the post-snapshot tail with
-// the decisions recorded after the snapshot's high-water mark.
-func rebuildFromSnapshot(ctx context.Context, schema *core.Schema, trust core.Trust, st Store, sr SnapshotReplayer, snap *Snapshot, ps *PeerSnapshot) (*Peer, error) {
-	engine, err := core.NewEngineFromSnapshot(schema, trust, &ps.Engine)
-	if err != nil {
-		return nil, fmt.Errorf("store: snapshot for %s: %w", ps.Engine.Peer, err)
+// rebuildOnce picks the starting state — the peer's snapshot entry, or a
+// fresh engine at epoch 0 and decision seq 0 — then fetches the log from
+// there and folds it.
+func rebuildOnce(ctx context.Context, id core.PeerID, schema *core.Schema, trust core.Trust, st Store, sr SnapshotReplayer, useSnapshot bool) (*Peer, error) {
+	engine := core.NewEngine(id, schema, trust)
+	var (
+		from     core.Epoch
+		afterSeq int64
+		log      []core.LoggedTxn
+	)
+	if useSnapshot {
+		snap, err := sr.LatestSnapshot(ctx)
+		if err != nil {
+			return nil, err
+		}
+		if ps := snap.Peer(id); ps != nil {
+			if engine, err = core.NewEngineFromSnapshot(schema, trust, &ps.Engine); err != nil {
+				return nil, fmt.Errorf("store: snapshot for %s: %w", id, err)
+			}
+			from, afterSeq = snap.Epoch, ps.DecisionSeq
+			log = loggedTxns(snap.Residue)
+		}
 	}
-	tail, decisions, err := sr.ReplayFrom(ctx, ps.Engine.Peer, snap.Epoch, ps.DecisionSeq)
+	tail, decisions, err := sr.ReplayFrom(ctx, id, from, afterSeq)
 	if err != nil {
 		return nil, err
 	}
-	log := loggedTxns(snap.Residue)
-	log = append(log, loggedTxns(tail)...)
-	if err := engine.RestoreTail(log, decisions); err != nil {
-		return nil, fmt.Errorf("store: snapshot tail for %s: %w", ps.Engine.Peer, err)
+	if err := engine.Restore(append(log, loggedTxns(tail)...), decisions); err != nil {
+		return nil, fmt.Errorf("store: rebuild %s: %w", id, err)
 	}
 	return &Peer{engine: engine, store: st}, nil
 }

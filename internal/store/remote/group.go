@@ -11,11 +11,6 @@ import (
 	"orchestra/internal/store"
 )
 
-// mCanMultiGroup asks whether the server hosts multiple groups. It is the
-// one method a group-scoped client sends unprefixed: it asks about the
-// server family, not any tenant.
-const mCanMultiGroup = "store.canmultigroup"
-
 // GroupServer is the multi-group gateway: it serves many tenant stores
 // over one transport by routing method names of the form
 // "group/<encoded id>/store.X" to a lazily-opened per-group sub-server.
@@ -42,13 +37,9 @@ func NewGroupServer(open func(group string) (store.Store, error), schema *core.S
 	return gs
 }
 
-// ServeRPC implements rpc.Handler: the capability probe answers directly,
-// everything else must carry a group route and dispatches to that group's
-// sub-server with the route stripped.
+// ServeRPC implements rpc.Handler: every method must carry a group route
+// and dispatches to that group's sub-server with the route stripped.
 func (gs *GroupServer) ServeRPC(ctx context.Context, req rpc.Request) ([]byte, error) {
-	if req.Method == mCanMultiGroup {
-		return rpc.Encode(&canReplayReply{OK: true})
-	}
 	rest, ok := strings.CutPrefix(req.Method, "group/")
 	if !ok {
 		return nil, fmt.Errorf("remote: method %q: group gateway serves only group-routed methods", req.Method)
@@ -113,24 +104,4 @@ func (gs *GroupServer) Close() error {
 		}
 	}
 	return err
-}
-
-// canMultiGroup answers the single-group Server's capability probe by
-// forwarding the question to its backend: a Server in front of a
-// multi-group-capable backend still serves exactly one store, so the
-// answer is whatever the backend family says it is (used by conformance
-// suites to decide whether a multi-group harness exists for the backend).
-func (s *Server) canMultiGroup(ctx context.Context, _ rpc.Request) ([]byte, error) {
-	return rpc.Encode(&canReplayReply{OK: store.CanMultiGroup(ctx, s.backend)})
-}
-
-// CanMultiGroup implements store.MultiGroupProber by asking the server.
-// The probe travels unprefixed even on group-scoped clients: it is a
-// question about the server, not a tenant.
-func (c *Client) CanMultiGroup(ctx context.Context) bool {
-	var reply canReplayReply
-	if err := rpc.Invoke(ctx, c.caller, c.addr, mCanMultiGroup, &struct{}{}, &reply); err != nil {
-		return false
-	}
-	return reply.OK
 }

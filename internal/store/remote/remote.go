@@ -31,19 +31,14 @@ const (
 	mRegister     = "store.register"
 	mPublish      = "store.publish"
 	mBegin        = "store.begin"
-	mDecide       = "store.decide"
 	mDecideBatch  = "store.decide.batch"
 	mRecno        = "store.recno"
-	mReplay       = "store.replay"
-	mCanReplay    = "store.canreplay"
-	mCanSnapshot  = "store.cansnapshot"
-	mCanDedupe    = "store.candedupe"
+	mCaps         = "store.caps"
 	mTakeSnapshot = "store.snapshot.take"
 	mSnapshot     = "store.snapshot"
 	mReplayFrom   = "store.replayfrom"
 	mCompact      = "store.compact"
 	mWatch        = "store.watch"
-	mCanWatch     = "store.canwatch"
 	mEffTrust     = "store.trust.effective"
 )
 
@@ -85,14 +80,6 @@ type beginReply struct {
 	Candidates []wireCandidate
 }
 
-type decideArgs struct {
-	Peer     core.PeerID
-	Recno    int
-	Accepted []core.TxnID
-	Rejected []core.TxnID
-	Key      store.IdempotencyKey
-}
-
 type decideBatchArgs struct {
 	Batches []store.DecisionBatch
 	Key     store.IdempotencyKey
@@ -117,17 +104,19 @@ type recnoReply struct {
 	Recno int
 }
 
-type canReplayReply struct {
-	OK bool
-}
-
-type replayArgs struct {
-	Peer core.PeerID
+// capsReply is the backend's answer to every capability probe at once.
+// Replay is not a field of its own: reconstruction reads the log with
+// ReplayFrom, so store.CanReplay is the Snapshot answer.
+type capsReply struct {
+	Snapshot   bool
+	Dedupe     bool
+	Watch      bool
+	MultiGroup bool
 }
 
 type replayReply struct {
-	// Log is the full published log in global order, binary-codec encoded
-	// like a publish payload.
+	// Log is the published tail in global order, binary-codec encoded like
+	// a publish payload.
 	Log       []byte
 	Decisions map[core.TxnID]core.RestoredDecision
 }
@@ -209,20 +198,14 @@ func NewServer(backend store.Store, schema *core.Schema) *Server {
 	mux.Handle(mRegister, s.register)
 	mux.Handle(mPublish, s.publish)
 	mux.Handle(mBegin, s.begin)
-	mux.Handle(mDecide, s.decide)
 	mux.Handle(mDecideBatch, s.decideBatch)
 	mux.Handle(mRecno, s.recno)
-	mux.Handle(mReplay, s.replay)
-	mux.Handle(mCanReplay, s.canReplay)
-	mux.Handle(mCanSnapshot, s.canSnapshot)
-	mux.Handle(mCanDedupe, s.canDedupe)
+	mux.Handle(mCaps, s.caps)
 	mux.Handle(mTakeSnapshot, s.takeSnapshot)
 	mux.Handle(mSnapshot, s.latestSnapshot)
 	mux.Handle(mReplayFrom, s.replayFrom)
 	mux.Handle(mCompact, s.compact)
 	mux.Handle(mWatch, s.watch)
-	mux.Handle(mCanWatch, s.canWatch)
-	mux.Handle(mCanMultiGroup, s.canMultiGroup)
 	mux.Handle(mEffTrust, s.effectiveTrust)
 	s.mux = mux
 	s.srv = rpc.NewServer(mux)
@@ -291,17 +274,6 @@ func (s *Server) begin(ctx context.Context, req rpc.Request) ([]byte, error) {
 	return rpc.Encode(&reply)
 }
 
-func (s *Server) decide(ctx context.Context, req rpc.Request) ([]byte, error) {
-	var args decideArgs
-	if err := rpc.Decode(req.Body, &args); err != nil {
-		return nil, err
-	}
-	if err := s.backend.RecordDecisions(withKey(ctx, args.Key), args.Peer, args.Recno, args.Accepted, args.Rejected); err != nil {
-		return nil, err
-	}
-	return rpc.Encode(&struct{}{})
-}
-
 func (s *Server) decideBatch(ctx context.Context, req rpc.Request) ([]byte, error) {
 	var args decideBatchArgs
 	if err := rpc.Decode(req.Body, &args); err != nil {
@@ -325,35 +297,18 @@ func (s *Server) recno(ctx context.Context, req rpc.Request) ([]byte, error) {
 	return rpc.Encode(&recnoReply{Recno: n})
 }
 
-func (s *Server) canReplay(ctx context.Context, _ rpc.Request) ([]byte, error) {
-	return rpc.Encode(&canReplayReply{OK: store.CanReplay(ctx, s.backend)})
-}
-
-func (s *Server) replay(ctx context.Context, req rpc.Request) ([]byte, error) {
-	var args replayArgs
-	if err := rpc.Decode(req.Body, &args); err != nil {
-		return nil, err
-	}
-	rp, ok := s.backend.(store.Replayer)
-	if !ok {
-		return nil, fmt.Errorf("remote: backend %T cannot replay peer state", s.backend)
-	}
-	log, decisions, err := rp.ReplayFor(ctx, args.Peer)
-	if err != nil {
-		return nil, err
-	}
-	return rpc.Encode(&replayReply{
-		Log:       store.AppendPublishedTxns(nil, log),
-		Decisions: decisions,
+// caps answers every capability probe from the backend's own answers. A
+// Server in front of a multi-group-capable backend still serves exactly
+// one store; MultiGroup reports what the backend family can do (the
+// conformance suites use it to decide whether a multi-group harness
+// exists for the backend).
+func (s *Server) caps(ctx context.Context, _ rpc.Request) ([]byte, error) {
+	return rpc.Encode(&capsReply{
+		Snapshot:   store.CanSnapshot(ctx, s.backend),
+		Dedupe:     store.CanDedupe(ctx, s.backend),
+		Watch:      store.CanWatch(ctx, s.backend),
+		MultiGroup: store.CanMultiGroup(ctx, s.backend),
 	})
-}
-
-func (s *Server) canSnapshot(ctx context.Context, _ rpc.Request) ([]byte, error) {
-	return rpc.Encode(&canReplayReply{OK: store.CanSnapshot(ctx, s.backend)})
-}
-
-func (s *Server) canDedupe(ctx context.Context, _ rpc.Request) ([]byte, error) {
-	return rpc.Encode(&canReplayReply{OK: store.CanDedupe(ctx, s.backend)})
 }
 
 func (s *Server) takeSnapshot(ctx context.Context, req rpc.Request) ([]byte, error) {
@@ -445,10 +400,6 @@ func (s *Server) effectiveTrust(ctx context.Context, req rpc.Request) ([]byte, e
 	return rpc.Encode(&effTrustReply{Policy: pol.String()})
 }
 
-func (s *Server) canWatch(ctx context.Context, _ rpc.Request) ([]byte, error) {
-	return rpc.Encode(&canReplayReply{OK: store.CanWatch(ctx, s.backend)})
-}
-
 // watch serves one bounded long-poll: it subscribes to the backend at the
 // client's cursor for at most the requested wait and relays the first
 // window that arrives (or an empty poll). The subscription registered for
@@ -496,11 +447,9 @@ type Client struct {
 	retrying  bool
 	keyPrefix string
 	keyCtr    atomic.Int64
-	// dedupe caches the server capability probe: 0 unprobed, 1 dedupes,
-	// -1 does not.
-	dedupe atomic.Int32
-	// watchable caches the watch capability probe the same way.
-	watchable atomic.Int32
+	// capsCache holds the server's capability answer once probed (nil
+	// until then; transient probe failures leave it nil).
+	capsCache atomic.Pointer[capsReply]
 	// watchPoll bounds the server-side wait of each watch long-poll (see
 	// WithWatchPoll).
 	watchPoll time.Duration
@@ -592,28 +541,23 @@ func randomKeyPrefix() string {
 	return hex.EncodeToString(b[:])
 }
 
-// serverDedupes probes (once) whether the server's backend dedupes keyed
-// calls. Transient probe failures are not cached, so the next operation
-// re-probes.
-func (c *Client) serverDedupes(ctx context.Context) bool {
-	if v := c.dedupe.Load(); v != 0 {
-		return v > 0
+// caps probes (once) the server backend's capabilities. Transient probe
+// failures are not cached, so the next question re-probes; any other
+// failure — a server without the RPC, or one that refuses it — will keep
+// failing and caches as no capabilities at all.
+func (c *Client) caps(ctx context.Context) capsReply {
+	if v := c.capsCache.Load(); v != nil {
+		return *v
 	}
-	var reply canReplayReply
-	if err := rpc.Invoke(ctx, c.caller, c.addr, c.m(mCanDedupe), &struct{}{}, &reply); err != nil {
-		if !store.IsTransient(err) {
-			// A server without the capability RPC (or one that refuses it)
-			// will keep refusing; cache the no.
-			c.dedupe.Store(-1)
+	var reply capsReply
+	if err := rpc.Invoke(ctx, c.caller, c.addr, c.m(mCaps), &struct{}{}, &reply); err != nil {
+		if store.IsTransient(err) {
+			return capsReply{}
 		}
-		return false
+		reply = capsReply{}
 	}
-	if reply.OK {
-		c.dedupe.Store(1)
-	} else {
-		c.dedupe.Store(-1)
-	}
-	return reply.OK
+	c.capsCache.Store(&reply)
+	return reply
 }
 
 // key picks the idempotency key an operation travels with: a key the caller
@@ -624,15 +568,24 @@ func (c *Client) key(ctx context.Context, op string) store.IdempotencyKey {
 	if k, ok := store.IdempotencyKeyFrom(ctx); ok {
 		return k
 	}
-	if !c.retrying || !c.serverDedupes(ctx) {
+	if !c.retrying || !c.caps(ctx).Dedupe {
 		return ""
 	}
 	return store.IdempotencyKey(fmt.Sprintf("%s/%s/%d", c.keyPrefix, op, c.keyCtr.Add(1)))
 }
 
-// CanDedupe implements store.IdempotencyProber by forwarding the question
-// to the server's backend.
-func (c *Client) CanDedupe(ctx context.Context) bool { return c.serverDedupes(ctx) }
+// CanDedupe, CanSnapshot, CanWatch and CanMultiGroup implement the store
+// probes from the one cached capability answer: the client's method set
+// never changes, but what works depends on the backend at the other end
+// of the wire.
+
+func (c *Client) CanDedupe(ctx context.Context) bool { return c.caps(ctx).Dedupe }
+
+func (c *Client) CanSnapshot(ctx context.Context) bool { return c.caps(ctx).Snapshot }
+
+func (c *Client) CanWatch(ctx context.Context) bool { return c.caps(ctx).Watch }
+
+func (c *Client) CanMultiGroup(ctx context.Context) bool { return c.caps(ctx).MultiGroup }
 
 // RegisterPeer implements store.Store. The trust policy must be a
 // *trust.Policy. Registration is naturally idempotent (an upsert), so it
@@ -676,10 +629,10 @@ func (c *Client) BeginReconciliation(ctx context.Context, peer core.PeerID) (*st
 	return rec, nil
 }
 
-// RecordDecisions implements store.Store.
+// RecordDecisions implements store.Store as a one-element
+// RecordDecisionsBatch.
 func (c *Client) RecordDecisions(ctx context.Context, peer core.PeerID, recno int, accepted, rejected []core.TxnID) error {
-	args := decideArgs{Peer: peer, Recno: recno, Accepted: accepted, Rejected: rejected, Key: c.key(ctx, "decide")}
-	return rpc.Invoke(ctx, c.caller, c.addr, c.m(mDecide), &args, nil)
+	return c.RecordDecisionsBatch(ctx, []store.DecisionBatch{{Peer: peer, Recno: recno, Accepted: accepted, Rejected: rejected}})
 }
 
 // RecordDecisionsBatch implements store.Store: the whole wave's decisions
@@ -711,45 +664,6 @@ func (c *Client) EffectiveTrust(ctx context.Context, peer core.PeerID) (core.Tru
 		return nil, fmt.Errorf("remote: effective trust payload: %w", err)
 	}
 	return pol, nil
-}
-
-// CanReplay implements store.ReplayProber: the client's ReplayFor stub
-// always exists, but whether replay works depends on the backend at the
-// other end of the wire, so the capability question travels as an RPC. An
-// unreachable or pre-probe server counts as "cannot replay".
-func (c *Client) CanReplay(ctx context.Context) bool {
-	var reply canReplayReply
-	if err := rpc.Invoke(ctx, c.caller, c.addr, c.m(mCanReplay), &struct{}{}, &reply); err != nil {
-		return false
-	}
-	return reply.OK
-}
-
-// ReplayFor implements store.Replayer when the server's backend does: the
-// full log crosses the wire once, in the binary store codec, so a lost
-// participant can rebuild its soft state from a remote store exactly as
-// from a local one (store.RebuildPeer).
-func (c *Client) ReplayFor(ctx context.Context, peer core.PeerID) ([]store.PublishedTxn, map[core.TxnID]core.RestoredDecision, error) {
-	var reply replayReply
-	if err := rpc.Invoke(ctx, c.caller, c.addr, c.m(mReplay), &replayArgs{Peer: peer}, &reply); err != nil {
-		return nil, nil, err
-	}
-	log, err := store.DecodePublishedTxns(reply.Log)
-	if err != nil {
-		return nil, nil, fmt.Errorf("remote: replay payload: %w", err)
-	}
-	return log, reply.Decisions, nil
-}
-
-// CanSnapshot implements store.SnapshotProber: like CanReplay, the stubs
-// below always exist, but whether snapshots work depends on the backend at
-// the other end of the wire.
-func (c *Client) CanSnapshot(ctx context.Context) bool {
-	var reply canReplayReply
-	if err := rpc.Invoke(ctx, c.caller, c.addr, c.m(mCanSnapshot), &struct{}{}, &reply); err != nil {
-		return false
-	}
-	return reply.OK
 }
 
 // Snapshot implements store.Snapshotter by proxy: the server's backend
@@ -787,29 +701,6 @@ func (c *Client) LatestSnapshot(ctx context.Context) (*store.Snapshot, error) {
 		return nil, fmt.Errorf("remote: snapshot payload: %w", err)
 	}
 	return snap, nil
-}
-
-// CanWatch implements store.WatchProber: whether subscriptions work
-// depends on the backend at the other end of the wire, so the question
-// travels as a capability RPC (cached; transient probe failures are not).
-func (c *Client) CanWatch(ctx context.Context) bool {
-	if v := c.watchable.Load(); v != 0 {
-		return v > 0
-	}
-	var reply canReplayReply
-	if err := rpc.Invoke(ctx, c.caller, c.addr, c.m(mCanWatch), &struct{}{}, &reply); err != nil {
-		if !store.IsTransient(err) {
-			// A server without the capability RPC will keep refusing.
-			c.watchable.Store(-1)
-		}
-		return false
-	}
-	if reply.OK {
-		c.watchable.Store(1)
-	} else {
-		c.watchable.Store(-1)
-	}
-	return reply.OK
 }
 
 // WatchFrom implements store.Watcher by proxy: a sequence of bounded

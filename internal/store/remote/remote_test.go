@@ -8,6 +8,7 @@ import (
 
 	"orchestra/internal/core"
 	"orchestra/internal/rpc"
+	"orchestra/internal/simnet"
 	"orchestra/internal/store"
 	"orchestra/internal/store/central"
 	"orchestra/internal/store/storetest"
@@ -42,7 +43,7 @@ func policyAll(t *testing.T) *trust.Policy {
 // TestConformance runs the full storetest suite over the wire: every peer
 // is a TCP client of a server hosting a central backend, so the suite
 // exercises the binary publish payloads, textual trust policies, batched
-// decisions, and the replay RPC end-to-end.
+// decisions, and the tail-replay RPC end-to-end.
 func TestConformance(t *testing.T) {
 	storetest.RunConformance(t, func(t *testing.T, schema *core.Schema) (func(core.PeerID) store.Store, func()) {
 		addr := startServer(t, schema)
@@ -209,5 +210,85 @@ func TestRemoteBadPolicyRejectedServerSide(t *testing.T) {
 		&registerArgs{Peer: "x", Policy: "garbage"}, nil)
 	if err == nil {
 		t.Error("server accepted garbage policy")
+	}
+}
+
+// TestCapsRPC: one store.caps round trip answers every capability probe
+// from the backend's own answers, and the client caches it — except after
+// a transient failure, which the next probe retries. Group-scoped clients
+// ask their group's sub-server like every other method.
+func TestCapsRPC(t *testing.T) {
+	schema := storetest.Schema(t)
+	ctx := context.Background()
+	// serve hosts a central backend, or — plain — the same backend behind
+	// nothing but the store.Store method set.
+	serve := func(plain bool) func(t *testing.T) rpc.Handler {
+		return func(t *testing.T) rpc.Handler {
+			cs := central.MustOpenMemory(schema)
+			t.Cleanup(func() { cs.Close() })
+			var backend store.Store = cs
+			if plain {
+				backend = struct{ store.Store }{cs}
+			}
+			return NewServer(backend, schema).Handler()
+		}
+	}
+	all := capsReply{Snapshot: true, Dedupe: true, Watch: true, MultiGroup: true}
+	for _, tc := range []struct {
+		name      string
+		handler   func(t *testing.T) rpc.Handler
+		opts      []ClientOption
+		failFirst bool
+		want      capsReply
+		probes    int
+	}{
+		{name: "central", handler: serve(false), want: all, probes: 1},
+		{name: "plain", handler: serve(true), want: capsReply{}, probes: 1},
+		{name: "transient", handler: serve(false), failFirst: true, want: all, probes: 2},
+		{name: "group", handler: func(t *testing.T) rpc.Handler {
+			node, err := central.OpenNode("")
+			if err != nil {
+				t.Fatal(err)
+			}
+			gw := NewGroupServer(func(group string) (store.Store, error) { return node.OpenGroup(group, schema) }, schema)
+			t.Cleanup(func() { gw.Close(); node.Close() })
+			return gw.Handler()
+		}, opts: []ClientOption{WithGroup("g1")}, want: all, probes: 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := tc.handler(t)
+			probes, fail := 0, tc.failFirst
+			caller := rpc.CallerFunc(func(ctx context.Context, to, method string, body []byte) ([]byte, error) {
+				if strings.HasSuffix(method, mCaps) {
+					probes++
+					if fail {
+						fail = false
+						return nil, simnet.ErrUnreachable
+					}
+				}
+				return h.ServeRPC(ctx, rpc.Request{From: "client", Method: method, Body: body})
+			})
+			c := NewClientOn(caller, "server", tc.opts...)
+			if tc.failFirst && c.CanSnapshot(ctx) {
+				t.Error("a transient probe failure answered yes")
+			}
+			for i := 0; i < 2; i++ {
+				got := capsReply{
+					Snapshot:   store.CanSnapshot(ctx, c),
+					Dedupe:     store.CanDedupe(ctx, c),
+					Watch:      store.CanWatch(ctx, c),
+					MultiGroup: store.CanMultiGroup(ctx, c),
+				}
+				if got != tc.want {
+					t.Errorf("probe pass %d: %+v, want %+v", i, got, tc.want)
+				}
+				if store.CanReplay(ctx, c) != tc.want.Snapshot {
+					t.Errorf("CanReplay differs from CanSnapshot")
+				}
+			}
+			if probes != tc.probes {
+				t.Errorf("%d store.caps round trips, want %d", probes, tc.probes)
+			}
+		})
 	}
 }

@@ -50,8 +50,12 @@ type PeerSnapshot struct {
 }
 
 // Peer returns the snapshot entry for the given peer, or nil if the peer
-// was not registered when the snapshot was taken.
+// was not registered when the snapshot was taken (a nil snapshot covers
+// nobody).
 func (s *Snapshot) Peer(id core.PeerID) *PeerSnapshot {
+	if s == nil {
+		return nil
+	}
 	for i := range s.Peers {
 		if s.Peers[i].Engine.Peer == id {
 			return &s.Peers[i]
@@ -78,10 +82,10 @@ type Snapshotter interface {
 	CompactBefore(ctx context.Context, e core.Epoch) error
 }
 
-// SnapshotReplayer is the bounded catch-up capability: the snapshot plus
-// the log tail it does not cover. RebuildPeer prefers it over a full
-// ReplayFor whenever the peer is covered by a retained snapshot — two
-// round trips instead of a replay of the whole history.
+// SnapshotReplayer is the peer-reconstruction capability: the retained
+// snapshot plus the log after any epoch. RebuildPeer reads through it
+// alone — the tail after the snapshot for a covered peer, the whole log
+// from epoch 0 otherwise.
 type SnapshotReplayer interface {
 	// LatestSnapshot returns the most recent retained snapshot, or nil if
 	// none has been taken.
@@ -90,14 +94,17 @@ type SnapshotReplayer interface {
 	// ReplayFrom returns the published tail — every transaction in epochs
 	// strictly after from, in global order — together with the peer's
 	// decisions recorded after the afterSeq decision-sequence high-water
-	// mark. It does not include the snapshot's residue: the caller already
-	// holds it.
+	// mark; ReplayFrom(peer, 0, 0) is the whole history. It does not
+	// include the snapshot's residue: the caller already holds it. A
+	// replay from below the compaction horizon fails for a peer the
+	// retained snapshot covers (its early history exists only there) and
+	// succeeds for a peer registered after it.
 	ReplayFrom(ctx context.Context, peer core.PeerID, from core.Epoch, afterSeq int64) ([]PublishedTxn, map[core.TxnID]core.RestoredDecision, error)
 }
 
 // SnapshotProber lets a store client answer the CanSnapshot question
-// dynamically; the remote client needs it for the same reason it needs
-// ReplayProber — its method set never changes, but its backend's does.
+// dynamically; the remote client needs it because its method set never
+// changes, but its backend's does.
 type SnapshotProber interface {
 	CanSnapshot(ctx context.Context) bool
 }
@@ -105,6 +112,9 @@ type SnapshotProber interface {
 // CanSnapshot reports whether the store supports snapshot-based catch-up
 // (and therefore compaction). A store that implements SnapshotProber is
 // asked; anything else is judged by whether it implements SnapshotReplayer.
+//
+// It stays one probe per capability, not one bitset, because the
+// repository benchmark asks each by name.
 func CanSnapshot(ctx context.Context, st Store) bool {
 	if p, ok := st.(SnapshotProber); ok {
 		return p.CanSnapshot(ctx)

@@ -2,13 +2,17 @@
 // retrieve updates, associate each published transaction with a client
 // reconciliation, and hold each peer's applied/rejected sets so that client
 // state is reconstructable soft state — together with the Peer wrapper that
-// drives a reconciliation engine against a store. Decision recording comes
-// in two shapes: per-reconciliation (RecordDecisions) and wave-batched
-// (RecordDecisionsBatch, fed by Peer.ReconcileBuffered), which amortizes
-// store round trips without changing outcomes. Implementations live in
-// store/central (RDBMS-backed, §5.2.1), store/remote (any backend over
-// TCP), and store/dhtstore (DHT-based, §5.2.2); store/storetest holds the
-// conformance suite they all must pass.
+// drives a reconciliation engine against a store. Decisions are recorded
+// in batches (RecordDecisionsBatch, fed by Peer.ReconcileBuffered), which
+// amortizes store round trips without changing outcomes; RecordDecisions is
+// the one-peer case. A lost participant is rebuilt along one path
+// (RebuildPeer): from the retained snapshot when it covers the peer, else
+// from epoch 0, fetching the log with ReplayFrom and folding it with one
+// core.Engine.Restore. Optional capabilities are asked through the Can*
+// probes. Implementations live in store/central (RDBMS-backed, §5.2.1),
+// store/remote (any backend over TCP, one cached store.caps RPC answering
+// every probe), and store/dhtstore (DHT-based, §5.2.2); store/storetest
+// holds the conformance suite they all must pass.
 package store
 
 import (
@@ -75,8 +79,10 @@ type Store interface {
 	BeginReconciliation(ctx context.Context, peer core.PeerID) (*Reconciliation, error)
 
 	// RecordDecisions persists the accept/reject outcome of the peer's
-	// reconciliation recno. Deferred transactions are not recorded: they
-	// are client soft state.
+	// reconciliation recno, like a one-element RecordDecisionsBatch.
+	// Deferred transactions are not recorded: they are client soft state.
+	// It stays in the interface because the repository benchmark's timing
+	// wrapper calls it through this interface.
 	RecordDecisions(ctx context.Context, peer core.PeerID, recno int, accepted, rejected []core.TxnID) error
 
 	// RecordDecisionsBatch persists several peers' reconciliation outcomes

@@ -19,6 +19,9 @@ type TrustResolver interface {
 }
 
 // CanResolveTrust reports whether the store resolves delegations.
+//
+// It stays one probe per capability, not one bitset, because the
+// repository benchmark asks each by name.
 func CanResolveTrust(st Store) bool {
 	_, ok := st.(TrustResolver)
 	return ok

@@ -48,6 +48,9 @@ type WatchProber interface {
 // CanWatch reports whether st supports WatchFrom, asking a WatchProber if
 // the store is one (a proxy knows better than its static type) and falling
 // back to a type assertion.
+//
+// It stays one probe per capability, not one bitset, because the
+// repository benchmark asks each by name.
 func CanWatch(ctx context.Context, st Store) bool {
 	if p, ok := st.(WatchProber); ok {
 		return p.CanWatch(ctx)

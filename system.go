@@ -29,7 +29,6 @@ type System struct {
 	order       []PeerID
 	fanout      int
 	interleaved bool
-	unbatched   bool
 	storeFor    func(core.PeerID) (store.Store, error)
 	pstats      metrics.Pipeline
 
@@ -48,7 +47,6 @@ type systemConfig struct {
 	latency     time.Duration
 	fanout      int
 	interleaved bool
-	unbatched   bool
 	storeFor    func(core.PeerID) (store.Store, error)
 
 	streamPoll      time.Duration
@@ -88,15 +86,6 @@ func WithReconcileFanOut(n int) SystemOption {
 // reconciliation cadence; implies a fan-out of 1.
 func WithInterleavedReconcile() SystemOption {
 	return func(c *systemConfig) { c.interleaved = true }
-}
-
-// WithUnbatchedDecisions restores per-peer decision recording: each
-// reconciliation issues its own RecordDecisions store call instead of the
-// wave-pooled RecordDecisionsBatch flush. Decisions are identical either
-// way (the differential tests assert it); the option exists as the
-// historical baseline and for stores where batching is undesirable.
-func WithUnbatchedDecisions() SystemOption {
-	return func(c *systemConfig) { c.unbatched = true }
 }
 
 // WithPeerStores routes every peer's store traffic through its own client
@@ -141,7 +130,6 @@ func NewSystem(schema *Schema, opts ...SystemOption) (*System, error) {
 		peers:       make(map[PeerID]*Peer),
 		fanout:      cfg.fanout,
 		interleaved: cfg.interleaved,
-		unbatched:   cfg.unbatched,
 		storeFor:    cfg.storeFor,
 
 		streamPoll:      cfg.streamPoll,
@@ -260,10 +248,11 @@ func (e *PeerError) Unwrap() error { return e.Err }
 // wave's accept/reject outcomes are flushed to the store in a single
 // RecordDecisionsBatch round trip. Batching changes round trips only,
 // never results — one peer's recorded decisions are invisible to another
-// peer's reconciliation, so flush timing cannot alter candidates. The
-// per-peer recording pass is available via WithUnbatchedDecisions, and the
-// historical interleaved registration-order pass (publish+reconcile per
-// peer, earlier peers invisible to none) via WithInterleavedReconcile.
+// peer's reconciliation, so flush timing cannot alter candidates. At
+// fan-out 1 each wave is one peer, so its decisions flush right after its
+// own reconcile. The historical interleaved registration-order pass
+// (publish+reconcile per peer, earlier peers invisible to none) is
+// available via WithInterleavedReconcile.
 //
 // The round degrades gracefully under store failures: a peer whose publish
 // or reconcile fails is reported in the returned error as a *PeerError and
@@ -305,24 +294,7 @@ func (s *System) ReconcileAll(ctx context.Context) (map[PeerID]*Result, error) {
 
 	// Reconcile fan-out (skipping peers already failed in the barrier).
 	results := make([]*Result, len(s.order))
-	if s.unbatched {
-		s.forEachPeer(fan, func(i int) {
-			if recErrs[i] != nil {
-				return
-			}
-			done := s.pstats.WorkerStart()
-			defer done()
-			res, err := s.peers[s.order[i]].Reconcile(ctx)
-			if err != nil {
-				recErrs[i] = &PeerError{Peer: s.order[i], Op: "reconcile", Err: err}
-				return
-			}
-			s.pstats.Observe(res)
-			results[i] = res
-		})
-	} else {
-		s.reconcileWaves(ctx, fan, results, recErrs)
-	}
+	s.reconcileWaves(ctx, fan, results, recErrs)
 	for i, res := range results {
 		if res != nil {
 			out[s.order[i]] = res
